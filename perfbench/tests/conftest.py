@@ -1,0 +1,7 @@
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent.parent / "src"), str(HERE.parent)]
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
