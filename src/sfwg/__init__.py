@@ -2,7 +2,6 @@
 
 __version__ = "0.1.0"
 
-from .backend import backend_name
 from .errors import (
     ConvergenceReport,
     ExactSolution,
@@ -31,7 +30,6 @@ __all__ = [
     "WeakFunction",
     "apply_weak_laplacian",
     "assemble",
-    "backend_name",
     "build_dof_map",
     "build_polygonal",
     "build_triangular",

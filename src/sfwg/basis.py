@@ -11,11 +11,12 @@ polynomials in arclength, normalized to be orthonormal with respect to the
 edge line integral.
 """
 
+import functools
+
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from . import backend
-from .quadrature import quad_cell, quad_edge
+from .quadrature import at_points, quad_cell, quad_edge
 
 
 class SingularCellError(RuntimeError):
@@ -24,6 +25,58 @@ class SingularCellError(RuntimeError):
 
 def dim_pk(m: int) -> int:
     return (m + 1) * (m + 2) // 2
+
+
+@functools.lru_cache(maxsize=None)
+def monomial_exponents(degree):
+    """Exponent pairs (ea, eb) of all monomials x^ea y^eb of total degree
+    <= degree, graded-lexicographically: degree blocks 0, 1, ..., and within
+    a block the x-exponent descends."""
+    ea, eb = [], []
+    for d in range(degree + 1):
+        for i in range(d + 1):
+            ea.append(d - i)
+            eb.append(i)
+    return np.array(ea, dtype=np.intp), np.array(eb, dtype=np.intp)
+
+
+def monomial_table(pts, cx, cy, h, degree):
+    """Values, gradients, and Laplacians of the scaled monomials
+    ((x-cx)/h)^a ((y-cy)/h)^b, a+b <= degree, at ``pts`` (npoints, 2).
+
+    Returns arrays (vals, gx, gy, lap), each of shape (npoints, nbasis),
+    with derivatives in the physical coordinates (factors 1/h and 1/h^2).
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    x = (pts[:, 0] - cx) / h
+    y = (pts[:, 1] - cy) / h
+    q = x.shape[0]
+
+    # Power tables px[:, a] = x**a, padded by two leading zero columns so
+    # that exponent e-1 / e-2 lookups stay in range (factor e makes the
+    # spurious columns irrelevant).
+    px = np.ones((q, degree + 3))
+    py = np.ones((q, degree + 3))
+    for a in range(1, degree + 1):
+        px[:, a + 2] = px[:, a + 1] * x
+        py[:, a + 2] = py[:, a + 1] * y
+    px[:, :2] = 0.0
+    py[:, :2] = 0.0
+    px[:, 2] = 1.0
+    py[:, 2] = 1.0
+
+    ea, eb = monomial_exponents(degree)
+    fa = ea.astype(np.float64)
+    fb = eb.astype(np.float64)
+
+    vals = px[:, ea + 2] * py[:, eb + 2]
+    gx = fa * px[:, ea + 1] * py[:, eb + 2] / h
+    gy = fb * px[:, ea + 2] * py[:, eb + 1] / h
+    lap = (
+        fa * (fa - 1.0) * px[:, ea] * py[:, eb + 2]
+        + fb * (fb - 1.0) * px[:, ea + 2] * py[:, eb]
+    ) / (h * h)
+    return vals, gx, gy, lap
 
 
 class CellBasis:
@@ -46,7 +99,7 @@ class CellBasis:
         shape = x.shape[:-1] + (self.dim,)
         v, gx, gy, lap = (
             t.reshape(shape)
-            for t in backend.monomial_table(
+            for t in monomial_table(
                 np.ascontiguousarray(x.reshape(-1, 2)), 0.0, 0.0, 1.0, self.degree
             )
         )
@@ -64,19 +117,37 @@ class CellBasis:
 
 
 def _legendre_1d(t, degree):
-    """P_n(t), P_n'(t), P_n''(t) for n <= degree, each t.shape + (degree + 1,)."""
+    """P_n(t) for n <= degree, shaped t.shape + (degree + 1,)."""
     p = np.zeros(t.shape + (degree + 1,))
-    dp = np.zeros_like(p)
-    ddp = np.zeros_like(p)
     p[..., 0] = 1.0
     if degree >= 1:
         p[..., 1] = t
-        dp[..., 1] = 1.0
     for n in range(1, degree):
         p[..., n + 1] = ((2 * n + 1) * t * p[..., n] - n * p[..., n - 1]) / (n + 1)
-        dp[..., n + 1] = dp[..., n - 1] + (2 * n + 1) * p[..., n]
-        ddp[..., n + 1] = ddp[..., n - 1] + (2 * n + 1) * dp[..., n]
-    return p, dp, ddp
+    return p
+
+
+def _legendre_derivative(p):
+    """Derivatives of the Legendre series in ``p`` (last axis the degree n),
+    by P'_{n+1} = P'_{n-1} + (2n+1) P_n; applied to P_n it gives P_n'."""
+    d = np.zeros_like(p)
+    for n in range(p.shape[-1] - 1):
+        d[..., n + 1] = (2 * n + 1) * p[..., n] + (d[..., n - 1] if n else 0.0)
+    return d
+
+
+def _scaled_legendre(pts, centroid, diameter, degree):
+    """h = diameter / 2 and the 1-D tables P_n(x'), P_n(y') at ``pts``."""
+    h = 0.5 * np.asarray(diameter, dtype=float)[..., None, None]
+    x = (np.asarray(pts, dtype=np.float64) - np.asarray(centroid)[..., None, :]) / h
+    return h, _legendre_1d(x[..., 0], degree), _legendre_1d(x[..., 1], degree)
+
+
+def legendre_values(pts, centroid, diameter, degree):
+    """Values of the Legendre products of ``legendre_table`` only."""
+    _, px, py = _scaled_legendre(pts, centroid, diameter, degree)
+    ea, eb = monomial_exponents(degree)
+    return px[..., ea] * py[..., eb]
 
 
 def legendre_table(pts, centroid, diameter, degree):
@@ -89,11 +160,10 @@ def legendre_table(pts, centroid, diameter, degree):
     (..., npts, 2).  Returns (vals, gx, gy, lap), each (..., npts, nbasis),
     with physical derivatives.
     """
-    h = 0.5 * np.asarray(diameter, dtype=float)[..., None, None]
-    x = (np.asarray(pts, dtype=np.float64) - np.asarray(centroid)[..., None, :]) / h
-    px, dpx, ddpx = _legendre_1d(x[..., 0], degree)
-    py, dpy, ddpy = _legendre_1d(x[..., 1], degree)
-    ea, eb = backend.monomial_exponents(degree)
+    h, px, py = _scaled_legendre(pts, centroid, diameter, degree)
+    dpx, dpy = _legendre_derivative(px), _legendre_derivative(py)
+    ddpx, ddpy = _legendre_derivative(dpx), _legendre_derivative(dpy)
+    ea, eb = monomial_exponents(degree)
     vals = px[..., ea] * py[..., eb]
     gx = dpx[..., ea] * py[..., eb] / h
     gy = px[..., ea] * dpy[..., eb] / h
@@ -140,18 +210,18 @@ def from_legendre(r, moments):
     return out
 
 
-def orthonormal_factor(degree, centroid, diameter, rule):
-    """QR factors of the sqrt(w)-weighted Legendre table on cells.
+def orthonormal_factor(vals, weights):
+    """R of the QR factorization sqrt(w) V = Q R of a Legendre value table.
 
-    Returns (Q, R, ok) for one cell, or stacks for a stack of cells
-    (centroid (..., 2), diameter (...), rule points (..., npts, 2)); ``ok``
-    is false where the table is numerically rank deficient.
+    ``vals`` is V at a cell rule's points, (..., npts, dim), and ``weights``
+    the rule's weights (..., npts); stacks give one factor per cell.
+    Returns (R, ok), with ``ok`` false where the table is numerically rank
+    deficient.
     """
-    vals = legendre_table(rule.points, centroid, diameter, degree)[0]
-    q, r = np.linalg.qr(np.sqrt(rule.weights)[..., None] * vals)
+    r = np.linalg.qr(np.sqrt(weights)[..., None] * vals, mode="r")
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     ok = np.isfinite(r).all(axis=(-2, -1)) & (diag.min(axis=-1) > 1e-13 * diag.max(axis=-1))
-    return q, r, ok
+    return r, ok
 
 
 class EdgeBasis:
@@ -199,15 +269,16 @@ def mass_matrix_edge(ebasis: EdgeBasis):
 def project_cell(f, polygon, basis: CellBasis, rule=None):
     """Coefficients of the L2(T) projection of ``f`` onto the cell basis.
 
-    ``f`` maps an (npts, 2) array of points to values.
+    ``f`` maps an (npts, 2) array of points to values.  A stack of polygons
+    (..., nv, 2) with a stacked basis gives coefficients (..., dim).
     """
     if rule is None:
         rule = quad_cell(polygon, 2 * basis.degree + 2)
-    v = basis.values(rule.points)
-    r = v.T @ (rule.weights * np.asarray(f(rule.points), dtype=float))
-    m = v.T @ (rule.weights[:, None] * v)
+    vt = basis.values(rule.points).swapaxes(-1, -2)
+    r = vt @ (rule.weights * at_points(f, rule.points))[..., None]
+    m = vt @ (rule.weights[..., None] * vt.swapaxes(-1, -2))
     try:
-        return np.linalg.solve(m, r)
+        return np.linalg.solve(m, r)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularCellError(f"singular cell mass matrix: {exc}") from exc
 
@@ -216,9 +287,10 @@ def project_edge(g, ebasis: EdgeBasis, rule=None):
     """Coefficients of the L2(e) projection of ``g`` onto the edge basis.
 
     The basis is orthonormal, so projection is a plain inner product.
-    ``g`` maps an (npts, 2) array of physical points to values.
+    ``g`` maps the rule's physical points (..., npts, 2) to values
+    (..., npts); a stacked basis gives coefficients (..., dim).
     """
     if rule is None:
         rule = quad_edge(ebasis.p0, ebasis.p1, 2 * ebasis.degree + 2)
-    v = ebasis.values(rule.params)
-    return v.T @ (rule.weights * np.asarray(g(rule.points), dtype=float))
+    vt = ebasis.values(rule.params).swapaxes(-1, -2)
+    return (vt @ (rule.weights * np.asarray(g(rule.points), dtype=float))[..., None])[..., 0]

@@ -6,12 +6,9 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure.
 import argparse
 import sys
 
-from .errors import error_2h, error_l2, error_triple
-from .mesh import MeshError, build_polygonal, build_triangular, dump_mesh, load_mesh
-from .solutions import builtin_solution
+from .mesh import MeshError, build_polygonal, build_triangular, dump_mesh
 from .study import ConfigError, StudyConfig, run_study, write_report
-from .system import SolverError, solve_biharmonic
-from .weakop import element_operators
+from .system import SolverError
 
 
 def _parse_mesh_flag(value):
@@ -86,30 +83,21 @@ def _cmd_study(args):
 
 def _cmd_solve(args):
     family, files = _parse_mesh_flag(args.mesh)
-    k = args.k
-    if k < 2:
-        raise ConfigError("k must be >= 2")
-    j = args.j if args.j is not None else (k + 4 if family == "polygonal" else k + 2)
-    if j <= k:
-        raise ConfigError(f"j must exceed k, got j={j} k={k}")
-    exact = builtin_solution(args.example)
-
-    if family == "files":
-        with open(files[0]) as fh:
-            mesh = load_mesh(fh)
-    elif family == "triangular":
-        mesh = build_triangular(args.n)
-    else:
-        mesh = build_polygonal(args.n)
-
-    ops = element_operators(mesh, k, j)
-    u_h = solve_biharmonic(mesh, k, j, exact.source,
-                           boundary=(exact.u, exact.grad), tol=args.tol, ops=ops)
+    if len(files) > 1:
+        raise ConfigError("solve takes a single mesh file")
+    # A single solve is a study of one level.
+    report = run_study(StudyConfig(
+        example=args.example, family=family, mesh_files=files,
+        k=args.k, j=args.j, levels=[args.n], tol=args.tol,
+    ))
+    if "error" in report.metadata:
+        print(f"solver failure: {report.metadata['error']}", file=sys.stderr)
+        return 3
+    row = report.rows[0]
     print(f"n={args.n}")
-    print(f"h={mesh.h:.6e}")
-    print(f"err_triple={error_triple(exact, u_h, mesh, k, j, ops=ops):.6e}")
-    print(f"err_2h={error_2h(exact, u_h, mesh, k):.6e}")
-    print(f"err_l2={error_l2(exact, u_h, mesh):.6e}")
+    print(f"h={row['h']:.6e}")
+    for key in ("err_triple", "err_2h", "err_l2"):
+        print(f"{key}={row[key]:.6e}")
     return 0
 
 

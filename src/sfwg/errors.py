@@ -15,10 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import CellBasis, EdgeBasis, OrthonormalCellBasis
+from .basis import CellBasis, EdgeBasis, from_legendre, legendre_values
 from .mesh import cell_stacks
 from .quadrature import at_points, quad_cell, quad_edge
-from .weakop import WeakFunction, cell_rule_degree, edge_rule_degree, element_operators
+from .weakop import (
+    WeakFunction,
+    apply_weak_laplacian,
+    cell_rule_degree,
+    edge_rule_degree,
+    element_operators,
+    local_dofs,
+)
 
 
 @dataclass
@@ -61,6 +68,15 @@ class ConvergenceReport:
         )
 
 
+def _zeros(p):
+    return np.zeros(len(p))
+
+
+# u = 0: each error functional of a weak function against it is its norm.
+ZERO = ExactSolution("zero", u=_zeros, grad=lambda p: np.zeros((len(p), 2)),
+                     laplacian=_zeros, source=_zeros)
+
+
 def convergence_rates(errors, hs):
     """Observed orders log(e_{i-1}/e_i) / log(h_{i-1}/h_i); None if undefined."""
     if len(errors) != len(hs) or len(errors) < 2:
@@ -79,34 +95,28 @@ def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops=None):
 
     ``ops`` is the list from ``element_operators(mesh, k, j)``, built here
     when not given.  Pi_j lap u is taken in each operator's ``basis_j``,
-    which is orthonormal, so its coefficients are plain moments.
+    which is orthonormal, so its coefficients are the moments of lap u,
+    formed against the Legendre products and mapped by R^-T.
     """
     if ops is None:
         ops = element_operators(mesh, k, j)
+    flat = u_h.flat()
     total = 0.0
-    for stack in cell_stacks(mesh):
-        cell_ops = [ops[c] for c in stack.cells]
-        basis_j = OrthonormalCellBasis(
-            j, mesh.cell_centroid[stack.cells], mesh.cell_diameter[stack.cells],
-            np.stack([op.basis_j.r for op in cell_ops]),
-        )
-        rule = quad_cell(stack.polygons, cell_rule_degree(j))
-        proj = np.einsum("cqm,cq->cm", basis_j.values(rule.points),
-                         rule.weights * at_points(exact.laplacian, rule.points))
-        diff = proj - np.stack([op.matrix @ u_h.local_dofs(mesh, c)
-                                for op, c in zip(cell_ops, stack.cells)])
-        mass = np.stack([op.mass for op in cell_ops])
-        total += float(np.einsum("ci,cij,cj->", diff, mass, diff))
-    return math.sqrt(max(total, 0.0))
+    for op in ops:
+        basis = op.basis_j
+        rule = quad_cell(op.stack.polygons, cell_rule_degree(j))
+        vals = legendre_values(rule.points, basis.centroid, basis.diameter, j)
+        moments = vals.swapaxes(-1, -2) @ (
+            rule.weights * at_points(exact.laplacian, rule.points))[..., None]
+        diff = (from_legendre(basis.r, moments)[..., 0]
+                - apply_weak_laplacian(op, flat[local_dofs(mesh, op.stack, k)]))
+        total += float(np.sum(diff * diff))
+    return math.sqrt(total)
 
 
 def triple_bar_norm(v: WeakFunction, mesh, k, j):
     """|||v||| for a discrete weak function."""
-    total = 0.0
-    for cell, op in enumerate(element_operators(mesh, k, j)):
-        c = op.matrix @ v.local_dofs(mesh, cell)
-        total += float(c @ op.mass @ c)
-    return math.sqrt(max(total, 0.0))
+    return error_triple(ZERO, v, mesh, k, j)
 
 
 def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
@@ -157,65 +167,9 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
     return math.sqrt(max(total, 0.0))
 
 
-def norm_2h_gram(mesh, k):
-    """Per-cell Gram matrices of the ||.||_{2,h} quadratic form.
-
-    Matrices act on local DOF vectors ordered as WeakFunction.local_dofs;
-    ||v||_{2,h}^2 = sum over cells of v_loc' N_T v_loc.  Precomputing these
-    makes evaluating the norm for many functions cheap.
-    """
-    from .basis import dim_pk
-
-    grams = []
-    dk = dim_pk(k)
-    for cell in range(mesh.n_cells):
-        basis = CellBasis(k, mesh.cell_centroid[cell], mesh.cell_diameter[cell])
-        h_t = mesh.cell_diameter[cell]
-        nloc = dk + 2 * k * len(mesh.cell_edges[cell])
-        n_t = np.zeros((nloc, nloc))
-
-        rule = quad_cell(mesh.cell_polygon(cell), cell_rule_degree(k + 2))
-        lap = basis.laplacians(rule.points)
-        n_t[:dk, :dk] = lap.T @ (rule.weights[:, None] * lap)
-
-        col = dk
-        for e, sigma in mesh.cell_edges[cell]:
-            p0, p1 = mesh.edge_endpoints(e)
-            ebasis = EdgeBasis(k - 1, p0, p1)
-            erule = quad_edge(p0, p1, edge_rule_degree(k, k + 2))
-            w = erule.weights
-            chi = ebasis.values(erule.params)
-            n_out = sigma * mesh.edge_normal[e]
-            vk, gkx, gky, _ = basis.tables(erule.points)
-
-            # Qb(v0) - v_b in the orthonormal edge basis: coefficients are
-            # p_e @ c0 - c_b, so the jump term is a small quadratic form.
-            p_e = chi.T @ (w[:, None] * vk)            # (k, dk)
-            jmap = np.zeros((k, nloc))
-            jmap[:, :dk] = p_e
-            jmap[:, col:col + k] = -np.eye(k)
-            n_t += (jmap.T @ jmap) / h_t**3
-
-            # (grad v0 - v_n n_e) . n sampled at edge quadrature points.
-            gphi_n = gkx * n_out[0] + gky * n_out[1]   # (q, dk)
-            fmap = np.zeros((len(w), nloc))
-            fmap[:, :dk] = gphi_n
-            fmap[:, col + k:col + 2 * k] = -sigma * chi
-            n_t += (fmap.T @ (w[:, None] * fmap)) / h_t
-            col += 2 * k
-        grams.append(n_t)
-    return grams
-
-
-def norm_2h(v: WeakFunction, mesh, k, grams=None):
+def norm_2h(v: WeakFunction, mesh, k):
     """||v||_{2,h} for a discrete weak function."""
-    if grams is None:
-        grams = norm_2h_gram(mesh, k)
-    total = 0.0
-    for cell in range(mesh.n_cells):
-        loc = v.local_dofs(mesh, cell)
-        total += float(loc @ grams[cell] @ loc)
-    return math.sqrt(max(total, 0.0))
+    return error_2h(ZERO, v, mesh, k)
 
 
 def error_l2(exact: ExactSolution, u_h: WeakFunction, mesh):

@@ -7,7 +7,6 @@ operators consume exactly this data.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,7 +172,9 @@ def _build(vertices, cells, check_simple=False, diameter=None):
             if not _is_simple(poly):
                 raise MeshTopologyError(f"cell {i} is not a simple polygon")
             if not _is_convex(poly):
-                warnings.warn(f"cell {i} is not convex", stacklevel=3)
+                # quad_cell fans the cell from its centroid, which is
+                # exact only on convex cells.
+                raise MeshTopologyError(f"cell {i} is not convex")
         areas[i] = a
         centroids[i] = polygon_centroid(poly)
         diameters[i] = diameter if diameter is not None else _cell_diameter(poly)
@@ -401,7 +402,10 @@ def load_mesh(stream) -> Mesh:
     ln, tok = take("'cells M'")
     if len(tok) != 2 or tok[0] != "cells":
         raise MeshFormatError(f"line {ln}: expected 'cells M'")
-    nc = int(tok[1])
+    try:
+        nc = int(tok[1])
+    except ValueError:
+        raise MeshFormatError(f"line {ln}: bad cell count {tok[1]!r}") from None
 
     cells = []
     for i in range(nc):

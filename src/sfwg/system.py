@@ -1,10 +1,11 @@
 """Global DOF numbering, SPD assembly, and the sparse solve.
 
-Numbering: cell-interior DOFs first (cell-major, basis-minor), then v_b
-DOFs of interior edges, then v_n DOFs of interior edges.  Boundary-edge
-v_b/v_n DOFs are constrained: zero for the clamped problem, or the edge
-projections of supplied boundary data (given relative to the fixed edge
-normal n_e), and their stiffness columns are moved to the right-hand side.
+Numbering: the DOFs of ``WeakFunction.flat`` in order, v0 of every cell,
+then v_b and v_n of every edge, with the constrained ones left out: the
+v_b/v_n DOFs of boundary edges.  These are zero for the clamped problem, or
+the edge projections of supplied boundary data (given relative to the
+fixed edge normal n_e), and their stiffness columns are moved to the
+right-hand side.
 """
 
 from dataclasses import dataclass
@@ -13,10 +14,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import CellBasis, EdgeBasis, dim_pk, project_edge
-from .mesh import cell_stacks
+from .basis import CellBasis, dim_pk
 from .quadrature import at_points, quad_cell
-from .weakop import WeakFunction, cell_rule_degree, element_operators
+from .weakop import (
+    WeakFunction,
+    cell_rule_degree,
+    element_operators,
+    local_dofs,
+    project_edge_data,
+)
 
 DIRECT_SOLVE_LIMIT = 200_000
 
@@ -27,57 +33,23 @@ class SolverError(RuntimeError):
 
 @dataclass
 class DofMap:
-    k: int
-    n_cells: int
-    n_edges: int
-    interior_pos: np.ndarray  # (n_edges,) position among interior edges, -1 if boundary
-    n_interior: int
-    vb_values: np.ndarray     # (n_edges, k) constrained values (boundary rows)
-    vn_values: np.ndarray
+    """Where each DOF of ``WeakFunction.flat`` sits among the free DOFs.
 
-    @property
-    def dim_k(self):
-        return dim_pk(self.k)
+    ``pos`` is the DOF's position in the free vector, or -1 where it is
+    constrained; ``constrained`` holds the values of the constrained DOFs
+    and zero at the free ones.
+    """
+
+    pos: np.ndarray
+    constrained: WeakFunction
 
     @property
     def n_free(self):
-        return self.n_cells * self.dim_k + 2 * self.k * self.n_interior
+        return int(np.count_nonzero(self.pos >= 0))
 
     @property
     def n_total(self):
-        return self.n_cells * self.dim_k + 2 * self.k * self.n_edges
-
-    def vb_base(self, e):
-        p = self.interior_pos[e]
-        return -1 if p < 0 else self.n_cells * self.dim_k + p * self.k
-
-    def vn_base(self, e):
-        p = self.interior_pos[e]
-        if p < 0:
-            return -1
-        return self.n_cells * self.dim_k + (self.n_interior + p) * self.k
-
-    def cell_dofs(self, mesh, cell):
-        """(global indices, constrained values) for the cell's local DOFs.
-
-        Index -1 marks a constrained DOF; its value is in the second array.
-        """
-        k, dk = self.k, self.dim_k
-        nloc = dk + 2 * k * len(mesh.cell_edges[cell])
-        idx = np.full(nloc, -1, dtype=np.intp)
-        vals = np.zeros(nloc)
-        idx[:dk] = cell * dk + np.arange(dk)
-        pos = dk
-        for e, _sigma in mesh.cell_edges[cell]:
-            vb = self.vb_base(e)
-            if vb >= 0:
-                idx[pos:pos + k] = vb + np.arange(k)
-                idx[pos + k:pos + 2 * k] = self.vn_base(e) + np.arange(k)
-            else:
-                vals[pos:pos + k] = self.vb_values[e]
-                vals[pos + k:pos + 2 * k] = self.vn_values[e]
-            pos += 2 * k
-        return idx, vals
+        return len(self.pos)
 
 
 def build_dof_map(mesh, k, g_d=None, g_n=None) -> DofMap:
@@ -86,37 +58,18 @@ def build_dof_map(mesh, k, g_d=None, g_n=None) -> DofMap:
     ``g_d`` is the trace of the solution, ``g_n`` its derivative along the
     fixed edge normal n_e; both default to zero (clamped plate).
     """
-    interior_pos = np.full(mesh.n_edges, -1, dtype=np.intp)
-    pos = 0
-    for e in range(mesh.n_edges):
-        if not mesh.edge_boundary[e]:
-            interior_pos[e] = pos
-            pos += 1
-
-    vb_values = np.zeros((mesh.n_edges, k))
-    vn_values = np.zeros((mesh.n_edges, k))
-    if g_d is not None or g_n is not None:
-        for e in range(mesh.n_edges):
-            if not mesh.edge_boundary[e]:
-                continue
-            p0, p1 = mesh.edge_endpoints(e)
-            ebasis = EdgeBasis(k - 1, p0, p1)
-            if g_d is not None:
-                vb_values[e] = project_edge(g_d, ebasis)
-            if g_n is not None:
-                n_e = mesh.edge_normal[e]
-                vn_values[e] = project_edge(
-                    lambda pts: np.asarray(g_n(pts)) @ n_e, ebasis
-                )
-    return DofMap(
-        k=k,
-        n_cells=mesh.n_cells,
-        n_edges=mesh.n_edges,
-        interior_pos=interior_pos,
-        n_interior=pos,
-        vb_values=vb_values,
-        vn_values=vn_values,
+    constrained = WeakFunction(
+        k=k, v0=np.zeros((mesh.n_cells, dim_pk(k))),
+        vb=np.zeros((mesh.n_edges, k)), vn=np.zeros((mesh.n_edges, k)),
     )
+    boundary = np.flatnonzero(mesh.edge_boundary)
+    constrained.vb[boundary], constrained.vn[boundary] = project_edge_data(
+        mesh, boundary, k, g_d, g_n)
+    interior = np.repeat(~mesh.edge_boundary[:, None], k, axis=1)
+    free = WeakFunction(k=k, v0=np.ones_like(constrained.v0, dtype=bool),
+                        vb=interior, vn=interior).flat()
+    pos = np.where(free, np.cumsum(free) - 1, -1)
+    return DofMap(pos=pos, constrained=constrained)
 
 
 @dataclass
@@ -131,37 +84,34 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
     """Stiffness (Lw., Lw.) and load (f, v0) over free DOFs.
 
     ``ops`` is the list from ``element_operators(mesh, k, j)``, built here
-    when not given.  Cells are processed in fixed index order, so the result
-    is bit-reproducible.
+    when not given.  Stacks and their cells are processed in a fixed order,
+    so the result is bit-reproducible.
     """
     if ops is None:
         ops = element_operators(mesh, k, j)
     n = dofmap.n_free
+    constrained = dofmap.constrained.flat()
     rows, cols, vals = [], [], []
     b = np.zeros(n)
+    for op in ops:
+        stack = op.stack
+        loc = local_dofs(mesh, stack, k)
+        idx = dofmap.pos[loc]                          # (nc, nloc), -1 if constrained
+        free = idx >= 0
+        ke = op.matrix.swapaxes(-1, -2) @ op.matrix    # (nc, nloc, nloc)
+        pair = free[:, :, None] & free[:, None, :]
+        rows.append(np.broadcast_to(idx[:, :, None], ke.shape)[pair])
+        cols.append(np.broadcast_to(idx[:, None, :], ke.shape)[pair])
+        vals.append(ke[pair])
 
-    # Load: (f, phi_i)_T on the v0 block only.
-    load = np.empty((mesh.n_cells, dofmap.dim_k))
-    for stack in cell_stacks(mesh):
+        # Load (f, phi_i)_T on the v0 block, less the constrained columns.
         rule = quad_cell(stack.polygons, cell_rule_degree(j))
         basis_k = CellBasis(k, mesh.cell_centroid[stack.cells],
                             mesh.cell_diameter[stack.cells])
-        load[stack.cells] = np.einsum("cqi,cq->ci", basis_k.values(rule.points),
-                                      rule.weights * at_points(f, rule.points))
-
-    for cell, op in enumerate(ops):
-        ke = op.matrix.T @ op.matrix
-        idx, cvals = dofmap.cell_dofs(mesh, cell)
-        free = idx >= 0
-
-        fi = idx[free]
-        kf = ke[np.ix_(free, free)]
-        rows.append(np.repeat(fi, len(fi)))
-        cols.append(np.tile(fi, len(fi)))
-        vals.append(kf.ravel())
-        if not free.all():
-            b[fi] -= ke[np.ix_(free, ~free)] @ cvals[~free]
-        b[idx[:dofmap.dim_k]] += load[cell]
+        rhs = -(ke @ constrained[loc][..., None])[..., 0]
+        rhs[:, :basis_k.dim] += np.einsum("cqi,cq->ci", basis_k.values(rule.points),
+                                          rule.weights * at_points(f, rule.points))
+        np.add.at(b, idx[free], rhs[free])
 
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -233,17 +183,10 @@ def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
 
 def weak_function_from_free(dofmap: DofMap, x: np.ndarray) -> WeakFunction:
     """Expand a free-DOF vector into a WeakFunction, filling constrained DOFs."""
-    k, dk = dofmap.k, dofmap.dim_k
-    v0 = x[: dofmap.n_cells * dk].reshape(dofmap.n_cells, dk).copy()
-    vb = dofmap.vb_values.copy()
-    vn = dofmap.vn_values.copy()
-    for e in range(dofmap.n_edges):
-        base = dofmap.vb_base(e)
-        if base >= 0:
-            vb[e] = x[base:base + k]
-            vnb = dofmap.vn_base(e)
-            vn[e] = x[vnb:vnb + k]
-    return WeakFunction(k=k, v0=v0, vb=vb, vn=vn)
+    full = dofmap.constrained.flat()
+    free = dofmap.pos >= 0
+    full[free] = x
+    return WeakFunction.from_flat(dofmap.constrained.k, len(dofmap.constrained.v0), full)
 
 
 def solve_biharmonic(mesh, k, j, f, boundary=None, tol=1e-12, ops=None) -> WeakFunction:

@@ -27,10 +27,13 @@ from .basis import (
     dim_pk,
     from_legendre,
     legendre_table,
+    legendre_values,
     orthonormal_factor,
+    project_cell,
+    project_edge,
 )
-from .mesh import cell_stacks
-from .quadrature import quad_cell, quad_edge
+from .mesh import CellStack, cell_stacks
+from .quadrature import at_points, quad_cell, quad_edge
 
 
 def cell_rule_degree(j: int) -> int:
@@ -50,53 +53,66 @@ class WeakFunction:
     vb: np.ndarray  # (n_edges, k) in the edge's orthonormal basis
     vn: np.ndarray  # (n_edges, k), flux relative to n_e
 
-    def local_dofs(self, mesh, cell: int) -> np.ndarray:
-        """Local DOF vector: v0 block, then (v_b, v_n) blocks per edge."""
-        parts = [self.v0[cell]]
-        for e, _sigma in mesh.cell_edges[cell]:
-            parts.append(self.vb[e])
-            parts.append(self.vn[e])
-        return np.concatenate(parts)
+    def flat(self) -> np.ndarray:
+        """All coefficients as one vector [v0 | v_b | v_n], which
+        ``local_dofs`` indexes."""
+        return np.concatenate([self.v0.ravel(), self.vb.ravel(), self.vn.ravel()])
+
+    @classmethod
+    def from_flat(cls, k: int, n_cells: int, x: np.ndarray) -> "WeakFunction":
+        """The weak function whose ``flat`` vector is ``x``, as views of it."""
+        n0 = n_cells * dim_pk(k)
+        vb, vn = np.split(x[n0:], 2)
+        return cls(k=k, v0=x[:n0].reshape(n_cells, -1), vb=vb.reshape(-1, k),
+                   vn=vn.reshape(-1, k))
+
+
+def local_dofs(mesh, stack: CellStack, k: int) -> np.ndarray:
+    """Index of every local DOF of a stack's cells into ``WeakFunction.flat``.
+
+    Returns (nc, nloc): per cell its v0 block, then per local edge the
+    (v_b, v_n) blocks, the column order of ``StackOperator.matrix``.
+    """
+    dk = dim_pk(k)
+    nc = len(stack.cells)
+    v0 = stack.cells[:, None] * dk + np.arange(dk)
+    vb = mesh.n_cells * dk + stack.edges[..., None] * k + np.arange(k)
+    vn = vb + mesh.n_edges * k
+    return np.concatenate([v0, np.concatenate([vb, vn], axis=-1).reshape(nc, -1)], axis=1)
 
 
 @dataclass
-class ElementWeakLaplacian:
-    """Matrix form of the weak Laplacian on one cell.
+class StackOperator:
+    """Matrix form of the weak Laplacian on every cell of one CellStack.
 
-    ``matrix`` maps the local DOF vector (ordered as WeakFunction.local_dofs)
-    to P_j(T) coefficients in ``basis_j``, a basis orthonormal under the cell
-    rule.  ``mass`` is its Gram matrix, the identity up to roundoff, so the
-    local stiffness block is matrix.T @ matrix.
+    ``matrix`` (nc, dim P_j, nloc) maps each cell's local DOF vector (in the
+    order of ``local_dofs``) to P_j(T) coefficients in ``basis_j``, the
+    stacked basis that is orthonormal under the cell rule and carries the
+    QR factor ``r``.  The local stiffness block is matrix^T matrix.
     """
 
-    cell: int
-    k: int
-    j: int
+    stack: CellStack
     matrix: np.ndarray
     basis_j: OrthonormalCellBasis
-    mass: np.ndarray
-
-
-def element_weak_laplacian(mesh, cell: int, k: int, j: int) -> ElementWeakLaplacian:
-    return _stacked_operators(mesh, cell_stacks(mesh, [cell])[0], k, j)[0]
 
 
 def element_operators(mesh, k: int, j: int) -> list:
-    """The weak-Laplacian operator of every cell, in cell order.
+    """The weak-Laplacian operators of the mesh, one StackOperator per
+    vertex count (the stacks of ``cell_stacks``).
 
-    Cells with equal vertex counts are processed as one stack.  Assembly and
-    the |||.||| functionals take this list, so a solve and its error
-    evaluation build each operator once.
+    Assembly and the |||.||| functionals take this list, so a solve and its
+    error evaluation build each operator once.
     """
-    ops = [None] * mesh.n_cells
-    for stack in cell_stacks(mesh):
-        for cell, op in zip(stack.cells, _stacked_operators(mesh, stack, k, j)):
-            ops[cell] = op
-    return ops
+    return [_stack_operator(mesh, stack, k, j) for stack in cell_stacks(mesh)]
 
 
-def _stacked_operators(mesh, stack, k, j):
-    """Operators of the cells of one CellStack.
+def element_weak_laplacian(mesh, cell: int, k: int, j: int) -> StackOperator:
+    """The operator of one cell, as a one-cell stack."""
+    return _stack_operator(mesh, cell_stacks(mesh, [cell])[0], k, j)
+
+
+def _stack_operator(mesh, stack, k, j):
+    """Operator of the cells of one CellStack.
 
     Every array below carries the cell as its leading axis; edge arrays
     carry the cell's local edge as the second.
@@ -108,19 +124,18 @@ def _stacked_operators(mesh, stack, k, j):
     centroid = mesh.cell_centroid[cells]
     diam = mesh.cell_diameter[cells]
     rule = quad_cell(stack.polygons, cell_rule_degree(j))
-    q, r, ok = orthonormal_factor(j, centroid, diam, rule)
+    vj = legendre_values(rule.points, centroid, diam, j)
+    r, ok = orthonormal_factor(vj, rule.weights)
     if not ok.all():
         raise SingularCellError(
             f"P_{j} basis of cell {cells[~ok][0]} is rank deficient under its quadrature rule"
         )
     basis_k = CellBasis(k, centroid, diam)
 
-    def tables_j(pts):
-        return legendre_table(pts, centroid, diam, j)
-
     # Moments against the Legendre products of degree j, mapped to the
-    # orthonormal basis psi by R^-T at the end.
-    wvj = rule.weights[..., None] * tables_j(rule.points)[0]
+    # orthonormal basis psi by R^-T at the end.  The weighted table takes
+    # the place of the table, the largest array here.
+    wvj = np.multiply(rule.weights[..., None], vj, out=vj)
     # (lap phi_i, psi_m)_T
     r_v0 = wvj.swapaxes(-1, -2) @ basis_k.laplacians(rule.points)
 
@@ -135,7 +150,8 @@ def _stacked_operators(mesh, stack, k, j):
     # Per-cell tables at the cell's edge points, regrouped per edge.
     epts = erule.points.reshape(nc, -1, 2)
     shape = erule.points.shape[:-1]
-    vj_e, gjx, gjy, _ = (t.reshape(shape + (-1,)) for t in tables_j(epts))
+    vj_e, gjx, gjy, _ = (t.reshape(shape + (-1,))
+                         for t in legendre_table(epts, centroid, diam, j))
     vk_e, gkx, gky, _ = (t.reshape(shape + (-1,)) for t in basis_k.tables(epts))
     gpsi_n = gjx * nx + gjy * ny                         # grad psi . n
     gphi_n = gkx * nx + gky * ny                         # grad phi . n
@@ -153,24 +169,34 @@ def _stacked_operators(mesh, stack, k, j):
     rhs = np.concatenate(
         [r_v0, edge_cols.transpose(0, 3, 1, 2).reshape(nc, r_v0.shape[1], -1)], axis=-1
     )
-    matrix = from_legendre(r, rhs)
-    gram = q.swapaxes(-1, -2) @ q
-    return [
-        ElementWeakLaplacian(
-            int(cell), k, j, matrix[i],
-            OrthonormalCellBasis(j, centroid[i], diam[i], r[i]), gram[i],
-        )
-        for i, cell in enumerate(cells)
-    ]
+    return StackOperator(stack, from_legendre(r, rhs), OrthonormalCellBasis(j, centroid, diam, r))
 
 
-def apply_weak_laplacian(op: ElementWeakLaplacian, dofs) -> np.ndarray:
+def apply_weak_laplacian(op: StackOperator, dofs) -> np.ndarray:
+    """P_j coefficients (nc, dim P_j) of the local DOF vectors ``dofs``
+    (nc, nloc) of the operator's cells."""
     dofs = np.asarray(dofs, dtype=float)
-    if dofs.shape != (op.matrix.shape[1],):
-        raise ValueError(
-            f"expected {op.matrix.shape[1]} local DOFs, got {dofs.shape}"
-        )
-    return op.matrix @ dofs
+    nc, _, nloc = op.matrix.shape
+    if dofs.shape != (nc, nloc):
+        raise ValueError(f"expected {nc} x {nloc} local DOFs, got {dofs.shape}")
+    return (op.matrix @ dofs[..., None])[..., 0]
+
+
+def project_edge_data(mesh, edges, k: int, u=None, grad=None):
+    """(v_b, v_n) on the given edges, (len(edges), k) each: the edge
+    projections of the trace of ``u`` and of ``grad . n_e``, or zeros where
+    the field is None."""
+    edges = np.asarray(edges, dtype=np.intp)
+    ebasis = EdgeBasis(k - 1, mesh.vertices[mesh.edges[edges, 0]],
+                       mesh.vertices[mesh.edges[edges, 1]])
+    n_e = mesh.edge_normal[edges, None, :]
+    vb = np.zeros((len(edges), k))
+    vn = np.zeros((len(edges), k))
+    if u is not None:
+        vb = project_edge(lambda pts: at_points(u, pts), ebasis)
+    if grad is not None:
+        vn = project_edge(lambda pts: np.sum(at_points(grad, pts) * n_e, axis=-1), ebasis)
+    return vb, vn
 
 
 def interpolate_qh(u, grad_u, mesh, k: int) -> WeakFunction:
@@ -179,20 +205,10 @@ def interpolate_qh(u, grad_u, mesh, k: int) -> WeakFunction:
     v0 = L2 cell projection of u onto P_k; v_b = edge projection of the
     trace; v_n = edge projection of grad u . n_e.
     """
-    from .basis import project_cell, project_edge
-
     v0 = np.empty((mesh.n_cells, dim_pk(k)))
-    for i in range(mesh.n_cells):
-        basis = CellBasis(k, mesh.cell_centroid[i], mesh.cell_diameter[i])
-        rule = quad_cell(mesh.cell_polygon(i), cell_rule_degree(k))
-        v0[i] = project_cell(u, mesh.cell_polygon(i), basis, rule=rule)
-
-    vb = np.empty((mesh.n_edges, k))
-    vn = np.empty((mesh.n_edges, k))
-    for e in range(mesh.n_edges):
-        p0, p1 = mesh.edge_endpoints(e)
-        ebasis = EdgeBasis(k - 1, p0, p1)
-        n_e = mesh.edge_normal[e]
-        vb[e] = project_edge(u, ebasis)
-        vn[e] = project_edge(lambda pts: np.asarray(grad_u(pts)) @ n_e, ebasis)
+    for stack in cell_stacks(mesh):
+        basis = CellBasis(k, mesh.cell_centroid[stack.cells], mesh.cell_diameter[stack.cells])
+        rule = quad_cell(stack.polygons, cell_rule_degree(k))
+        v0[stack.cells] = project_cell(u, stack.polygons, basis, rule=rule)
+    vb, vn = project_edge_data(mesh, np.arange(mesh.n_edges), k, u, grad_u)
     return WeakFunction(k=k, v0=v0, vb=vb, vn=vn)

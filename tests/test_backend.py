@@ -1,39 +1,20 @@
+"""The scaled-monomial kernel ``sfwg.basis.monomial_table``."""
+
 import numpy as np
-import pytest
 
-from sfwg import backend
-from sfwg import _mono_py
-
-
-def test_backend_name_is_reported():
-    assert backend.backend_name() in ("compiled", "python")
-    assert backend.backend_name() == (
-        "compiled" if backend.HAVE_COMPILED else "python"
-    )
+from sfwg.basis import monomial_exponents, monomial_table
 
 
 def test_monomial_exponents_graded_lex():
-    ax, ay = backend.monomial_exponents(2)
+    ax, ay = monomial_exponents(2)
     assert ax.tolist() == [0, 1, 0, 2, 1, 0]
     assert ay.tolist() == [0, 0, 1, 0, 1, 2]
-    assert len(backend.monomial_exponents(5)[0]) == 21
-
-
-@pytest.mark.skipif(not backend.HAVE_COMPILED, reason="no compiled extension")
-@pytest.mark.parametrize("degree", [0, 1, 3, 6])
-def test_compiled_matches_python(degree):
-    from sfwg import _mono
-
-    rng = np.random.default_rng(degree)
-    pts = np.ascontiguousarray(rng.random((40, 2)))
-    args = (pts, 0.37, 0.21, 0.55, degree)
-    for a, b in zip(_mono.monomial_table(*args), _mono_py.monomial_table(*args)):
-        assert np.array_equal(a, b) or np.allclose(a, b, rtol=1e-15, atol=1e-15)
+    assert len(monomial_exponents(5)[0]) == 21
 
 
 def test_python_table_values():
     pts = np.array([[0.5, 0.75]])
-    v, gx, gy, lap = _mono_py.monomial_table(pts, 0.0, 0.0, 1.0, 2)
+    v, gx, gy, lap = monomial_table(pts, 0.0, 0.0, 1.0, 2)
     # basis: 1, x, y, x^2, xy, y^2 at (0.5, 0.75)
     assert np.allclose(v[0], [1.0, 0.5, 0.75, 0.25, 0.375, 0.5625])
     assert np.allclose(gx[0], [0.0, 1.0, 0.0, 1.0, 0.75, 0.0])
@@ -44,7 +25,7 @@ def test_python_table_values():
 def test_python_table_scaling():
     pts = np.array([[1.0, 2.0]])
     h = 0.5
-    v, gx, gy, lap = _mono_py.monomial_table(pts, 0.5, 1.5, h, 1)
+    v, gx, gy, lap = monomial_table(pts, 0.5, 1.5, h, 1)
     # (x - xc)/h = 1, (y - yc)/h = 1
     assert np.allclose(v[0], [1.0, 1.0, 1.0])
     assert np.allclose(gx[0], [0.0, 1.0 / h, 0.0])

@@ -3,15 +3,16 @@ import pytest
 
 from numpy.polynomial import Legendre
 
-from sfwg.backend import monomial_exponents
 from sfwg.basis import (
     CellBasis,
     EdgeBasis,
     OrthonormalCellBasis,
     dim_pk,
     legendre_table,
+    legendre_values,
     mass_matrix_cell,
     mass_matrix_edge,
+    monomial_exponents,
     orthonormal_factor,
     project_cell,
     project_edge,
@@ -39,7 +40,8 @@ def diameter(polygon):
 def orthonormal_basis(degree, polygon=TRI):
     centroid = polygon.mean(axis=0)
     diam = diameter(polygon)
-    _, r, ok = orthonormal_factor(degree, centroid, diam, quad_cell(polygon, 2 * degree))
+    rule = quad_cell(polygon, 2 * degree)
+    r, ok = orthonormal_factor(legendre_values(rule.points, centroid, diam, degree), rule.weights)
     assert ok
     return OrthonormalCellBasis(degree, centroid, diam, r)
 
@@ -170,6 +172,7 @@ def test_legendre_table_matches_numpy_legendre():
     rng = np.random.default_rng(2)
     pts = centroid + 0.2 * rng.standard_normal((7, 2))
     vals, gx, gy, lap = legendre_table(pts, centroid, diam, degree)
+    assert np.array_equal(legendre_values(pts, centroid, diam, degree), vals)
     h = 0.5 * diam
     x, y = ((pts - centroid) / h).T
     for i, (a, b) in enumerate(zip(*monomial_exponents(degree))):
@@ -235,7 +238,8 @@ def test_orthonormal_basis_stack_matches_single_cells():
     polys = np.stack([TRI, TRI[::-1] * 0.5 + 0.3])
     centroids = polys.mean(axis=1)
     diams = np.array([diameter(p) for p in polys])
-    _, r, ok = orthonormal_factor(3, centroids, diams, quad_cell(polys, 6))
+    rule = quad_cell(polys, 6)
+    r, ok = orthonormal_factor(legendre_values(rule.points, centroids, diams, 3), rule.weights)
     assert ok.all()
     stack = OrthonormalCellBasis(3, centroids, diams, r)
     pts = centroids[:, None, :] + np.array([[0.01, 0.02], [-0.03, 0.05], [0.0, -0.02]])

@@ -128,12 +128,27 @@ def test_mesh_subcommand_roundtrip(tmp_path, capsys):
         ["study", "--mesh", "hex"],
         ["study", "--mesh", "file:"],
         ["solve", "--k", "1"],
+        ["solve", "--tol", "0"],
+        ["solve", "--mesh", "file:a.txt,b.txt"],
         ["mesh", "--family", "tri", "--n", "0"],
     ],
 )
 def test_config_errors_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_nonconvex_mesh_file_exits_2(tmp_path, capsys):
+    # A CCW U-shaped octagon of area 7: the centroid fan of the cell
+    # quadrature would integrate it to 9.357.
+    path = tmp_path / "u.txt"
+    path.write_text(
+        "polymesh 1\nvertices 8\n0 0\n3 0\n3 3\n2 3\n2 1\n1 1\n1 3\n0 3\n"
+        "cells 1\n0 1 2 3 4 5 6 7\n"
+    )
+    code, _, err = run_cli(capsys, "solve", "--mesh", f"file:{path}")
+    assert code == 2
+    assert "not convex" in err
 
 
 def test_solver_failure_exit_3(monkeypatch, capsys):

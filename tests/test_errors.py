@@ -8,7 +8,6 @@ from sfwg.errors import (
     error_l2,
     error_triple,
     norm_2h,
-    norm_2h_gram,
     triple_bar_norm,
 )
 from sfwg.mesh import build_triangular
@@ -114,22 +113,6 @@ def test_triple_norm_homogeneous():
         3.0 * triple_bar_norm(v, mesh, k, 4), rel=1e-12
     )
     assert norm_2h(w, mesh, k) == pytest.approx(3.0 * norm_2h(v, mesh, k), rel=1e-12)
-
-
-def test_norm_2h_gram_matches_direct():
-    mesh = build_triangular(2)
-    k = 2
-    grams = norm_2h_gram(mesh, k)
-    rng = np.random.default_rng(9)
-    v = WeakFunction(
-        k=k,
-        v0=rng.standard_normal((mesh.n_cells, dim_pk(k))),
-        vb=rng.standard_normal((mesh.n_edges, k)),
-        vn=rng.standard_normal((mesh.n_edges, k)),
-    )
-    assert norm_2h(v, mesh, k, grams=grams) == pytest.approx(
-        norm_2h(v, mesh, k), rel=1e-12
-    )
 
 
 def test_norm_2h_zero_only_at_zero():

@@ -175,6 +175,12 @@ def test_load_rejects_bad_header():
         load_mesh(io.StringIO("trimesh 2\n"))
 
 
+def test_load_rejects_bad_cell_count():
+    text = "polymesh 1\nvertices 3\n0 0\n1 0\n0 1\ncells x\n0 1 2\n"
+    with pytest.raises(MeshFormatError, match="line 6: bad cell count"):
+        load_mesh(io.StringIO(text))
+
+
 def test_load_rejects_out_of_range_index():
     text = "polymesh 1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 7\n"
     with pytest.raises(MeshFormatError, match="out of range"):
@@ -210,6 +216,7 @@ def test_load_warns_on_nonconvex_cell():
         "polymesh 1\nvertices 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
         "cells 1\n0 1 2 3 4\n"
     )
-    # The L-shaped (dart) cell is simple but not convex.
-    with pytest.warns(UserWarning, match="not convex"):
+    # The dart cell is simple but not convex, which the cell quadrature
+    # cannot integrate: it is rejected, not warned about.
+    with pytest.raises(MeshTopologyError, match="cell 0 is not convex"):
         load_mesh(io.StringIO(text))

@@ -3,7 +3,7 @@ import pytest
 
 from sfwg.basis import CellBasis
 from sfwg.errors import triple_bar_norm
-from sfwg.mesh import build_triangular
+from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
 from sfwg.quadrature import quad_cell
 from sfwg.system import (
     SolverError,
@@ -14,7 +14,7 @@ from sfwg.system import (
     solve_biharmonic,
     weak_function_from_free,
 )
-from sfwg.weakop import interpolate_qh
+from sfwg.weakop import interpolate_qh, local_dofs
 
 
 def zero_f(p):
@@ -32,7 +32,8 @@ def test_free_dof_count():
 def test_cell_dofs_marks_boundary_constrained():
     mesh = build_triangular(1)
     dm = build_dof_map(mesh, 2)
-    idx, vals = dm.cell_dofs(mesh, 0)
+    loc = local_dofs(mesh, cell_stacks(mesh, [0])[0], 2)[0]
+    idx, vals = dm.pos[loc], dm.constrained.flat()[loc]
     assert (idx[:6] == np.arange(6)).all()
     # exactly one of the three edges is interior
     n_constrained = int((idx < 0).sum())
@@ -149,17 +150,20 @@ def test_solve_raises_on_unreachable_tolerance():
         solve(system, tol=1e-18)
 
 
-def test_energy_norm_positive_on_free_space():
-    mesh = build_triangular(4)
+@pytest.mark.parametrize("builder,j", [(build_triangular, 4), (build_polygonal, 6)],
+                         ids=["tri", "poly"])
+def test_energy_norm_positive_on_free_space(builder, j):
+    # build_polygonal(4) has cells of 4, 5 and 6 vertices: one stack each.
+    mesh = builder(4)
     k = 2
     dm = build_dof_map(mesh, k)
-    system = assemble(mesh, k, k + 2, zero_f, dm)
+    system = assemble(mesh, k, j, zero_f, dm)
     rng = np.random.default_rng(11)
     for _ in range(10):
         x = rng.standard_normal(dm.n_free)
         quad = float(x @ (system.A @ x))
         assert quad > 0.0
         v = weak_function_from_free(dm, x)
-        assert triple_bar_norm(v, mesh, k, k + 2) == pytest.approx(
+        assert triple_bar_norm(v, mesh, k, j) == pytest.approx(
             np.sqrt(quad), rel=1e-9
         )
