@@ -248,24 +248,6 @@ class EdgeBasis:
         return legvander(t, self.degree) * self._scale[..., None, :]
 
 
-def mass_matrix_cell(polygon, basis: CellBasis, rule=None):
-    """Gram matrix of the cell basis, integrated exactly (degree 2m)."""
-    if rule is None:
-        rule = quad_cell(polygon, 2 * basis.degree)
-    v = basis.values(rule.points)
-    m = v.T @ (rule.weights[:, None] * v)
-    if not np.all(np.isfinite(m)):
-        raise SingularCellError("non-finite cell mass matrix (degenerate cell?)")
-    return m
-
-
-def mass_matrix_edge(ebasis: EdgeBasis):
-    """Edge Gram matrix; identity up to quadrature roundoff."""
-    rule = quad_edge(ebasis.p0, ebasis.p1, 2 * ebasis.degree)
-    v = ebasis.values(rule.params)
-    return v.T @ (rule.weights[:, None] * v)
-
-
 def project_cell(f, polygon, basis: CellBasis, rule=None):
     """Coefficients of the L2(T) projection of ``f`` onto the cell basis.
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -50,6 +51,9 @@ class StudyConfig:
         if self.family == "files":
             if not self.mesh_files:
                 raise ConfigError("mesh family 'files' needs at least one mesh file")
+            for path in self.mesh_files:
+                if not os.path.isfile(path):
+                    raise ConfigError(f"mesh file not found: {path}")
         else:
             if not self.levels:
                 raise ConfigError("levels must be non-empty")

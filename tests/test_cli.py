@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -149,6 +150,22 @@ def test_nonconvex_mesh_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", "--mesh", f"file:{path}")
     assert code == 2
     assert "not convex" in err
+
+
+@pytest.mark.parametrize("command", ["study", "solve"])
+def test_missing_mesh_file_exits_2(command, tmp_path, capsys):
+    code, _, err = run_cli(capsys, command, "--mesh", f"file:{tmp_path / 'none.txt'}")
+    assert code == 2
+    assert "mesh file not found" in err
+
+
+def test_nan_source_exits_3(monkeypatch, capsys):
+    nan = dataclasses.replace(sfwg.study.builtin_solution(1),
+                              source=lambda p: np.full(len(p), np.nan))
+    monkeypatch.setattr(sfwg.study, "builtin_solution", lambda sid: nan)
+    code = main(["solve", "--n", "2"])
+    assert code == 3
+    assert "backward error nan" in capsys.readouterr().err
 
 
 def test_solver_failure_exit_3(monkeypatch, capsys):

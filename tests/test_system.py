@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sfwg.basis import CellBasis
 from sfwg.errors import triple_bar_norm
 from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
 from sfwg.quadrature import quad_cell
 from sfwg.system import (
+    LinearSystem,
     SolverError,
     assemble,
     backward_error,
@@ -148,6 +150,32 @@ def test_solve_raises_on_unreachable_tolerance():
     system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm)
     with pytest.raises(SolverError, match="backward error"):
         solve(system, tol=1e-18)
+
+
+def test_solve_raises_on_nan_source():
+    # NaN fails every comparison, so a check of ``err > tol`` lets it
+    # through; the solve must accept only ``err <= tol``.
+    mesh = build_triangular(4)
+    dm = build_dof_map(mesh, 2)
+    system = assemble(mesh, 2, 4, lambda p: np.full(len(p), np.nan), dm)
+    with pytest.raises(SolverError, match="backward error nan"):
+        solve(system)
+
+
+def test_solve_raises_on_singular_psd_matrix():
+    system = LinearSystem(A=sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])),
+                          b=np.array([1.0, 2.0]))
+    with pytest.raises(SolverError, match="factorization failed"):
+        solve(system)
+
+
+def test_solve_matches_dense_solve():
+    mesh = build_triangular(4)
+    dm = build_dof_map(mesh, 2)
+    system = assemble(mesh, 2, 4, lambda p: np.cos(p[:, 0]) + p[:, 1], dm)
+    x = solve(system)
+    ref = np.linalg.solve(system.A.toarray(), system.b)
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("builder,j", [(build_triangular, 4), (build_polygonal, 6)],
