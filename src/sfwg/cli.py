@@ -1,11 +1,12 @@
 """Command-line interface: convergence studies, single solves, mesh dumps.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure.
+Exit codes: 0 success, 2 configuration or mesh error, 3 solver failure.
 """
 
 import argparse
 import sys
 
+from .basis import SingularCellError
 from .mesh import MeshError, build_polygonal, build_triangular, dump_mesh
 from .study import ConfigError, StudyConfig, run_study, write_report
 from .system import SolverError
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
     handlers = {"study": _cmd_study, "solve": _cmd_solve, "mesh": _cmd_mesh}
     try:
         return handlers[args.command](args)
-    except (ConfigError, MeshError, ValueError) as exc:
+    except (ConfigError, MeshError, SingularCellError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

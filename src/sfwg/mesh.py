@@ -3,11 +3,12 @@
 A Mesh carries, besides vertices and cells, one fixed unit normal per edge
 (the lower-to-higher vertex-index tangent rotated by +90 degrees) and, per
 cell, the sign sigma = n_e . n_outward for each of its edges.  The weak
-operators consume exactly this data.
+operators consume exactly this data, from the mesh's stacks of cells with
+equal vertex counts.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,20 +34,33 @@ class MeshGenerationError(MeshError):
 
 
 @dataclass
+class CellStack:
+    """The cells of a mesh that have one vertex count, as stacked arrays.
+
+    Local edge t of a cell runs from its vertex t to vertex t+1.
+    """
+
+    cells: np.ndarray     # (nc,) cell indices, increasing
+    polygons: np.ndarray  # (nc, nv, 2) CCW vertex coordinates
+    edges: np.ndarray     # (nc, nv) global index of each local edge
+    sigma: np.ndarray     # (nc, nv) n_e . n_outward, as float
+
+
+@dataclass
 class Mesh:
     """Immutable-by-convention polygonal mesh; build via the module functions."""
 
-    vertices: np.ndarray                 # (nv, 2)
-    cells: list                          # list of CCW vertex-index arrays
-    edges: np.ndarray = field(default=None)        # (ne, 2), lo < hi
-    edge_normal: np.ndarray = field(default=None)  # (ne, 2) fixed unit normals
-    edge_boundary: np.ndarray = field(default=None)  # (ne,) bool
-    edge_cells: list = field(default=None)          # per edge, incident cells
-    cell_edges: list = field(default=None)  # per cell, list of (edge, sigma)
-    cell_area: np.ndarray = field(default=None)
-    cell_centroid: np.ndarray = field(default=None)
-    cell_diameter: np.ndarray = field(default=None)
-    h: float = 0.0
+    vertices: np.ndarray       # (nv, 2)
+    cells: list                # list of CCW vertex-index arrays
+    edges: np.ndarray          # (ne, 2), lo < hi
+    edge_normal: np.ndarray    # (ne, 2) fixed unit normals
+    edge_boundary: np.ndarray  # (ne,) bool
+    edge_cells: np.ndarray     # (ne, 2) incident cells in increasing order, -1 if none
+    stacks: list               # CellStacks, in increasing vertex count
+    cell_area: np.ndarray
+    cell_centroid: np.ndarray
+    cell_diameter: np.ndarray
+    h: float
 
     @property
     def n_vertices(self):
@@ -68,177 +82,156 @@ class Mesh:
         a, b = self.edges[e]
         return self.vertices[a], self.vertices[b]
 
-    def edge_length(self, e):
-        p0, p1 = self.edge_endpoints(e)
-        return float(np.hypot(*(p1 - p0)))
-
-
-@dataclass
-class CellStack:
-    """The cells of a mesh that have one vertex count, as stacked arrays.
-
-    Local edge t of a cell runs from its vertex t to vertex t+1, as in
-    ``Mesh.cell_edges``.
-    """
-
-    cells: np.ndarray     # (nc,) cell indices, increasing
-    polygons: np.ndarray  # (nc, nv, 2) CCW vertex coordinates
-    edges: np.ndarray     # (nc, nv) global index of each local edge
-    sigma: np.ndarray     # (nc, nv) n_e . n_outward, as float
-
 
 def cell_stacks(mesh: Mesh, cells=None) -> list:
     """The mesh's cells (or the given ones) grouped by vertex count.
 
     Stacks come in increasing vertex count, cells within one in increasing
-    index.
+    index.  Without ``cells`` these are the stacks stored at build.
     """
-    subset = np.arange(mesh.n_cells) if cells is None else np.unique(cells)
-    nverts = np.array([len(mesh.cells[c]) for c in subset])
-    stacks = []
-    for nv in np.unique(nverts):
-        cells = subset[nverts == nv]
-        stacks.append(CellStack(
-            cells=cells,
-            polygons=mesh.vertices[np.stack([mesh.cells[c] for c in cells])],
-            edges=np.array([[e for e, _ in mesh.cell_edges[c]] for c in cells]),
-            sigma=np.array([[sg for _, sg in mesh.cell_edges[c]] for c in cells],
-                           dtype=float),
-        ))
-    return stacks
+    if cells is None:
+        return mesh.stacks
+    keep = [np.isin(s.cells, cells) for s in mesh.stacks]
+    return [CellStack(s.cells[m], s.polygons[m], s.edges[m], s.sigma[m])
+            for s, m in zip(mesh.stacks, keep) if m.any()]
 
 
-def _cell_diameter(polygon):
-    d = polygon[:, None, :] - polygon[None, :, :]
-    return float(np.sqrt((d * d).sum(axis=-1).max()))
+def _cross(u, w):
+    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
 
 
-def _is_convex(polygon):
-    n = len(polygon)
-    for i in range(n):
-        a = polygon[i]
-        b = polygon[(i + 1) % n]
-        c = polygon[(i + 2) % n]
-        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if cross < 0.0:
-            return False
-    return True
+def _outward(d):
+    """Unit normals to the right of edge vectors d (..., 2): the outward
+    normals of a CCW cell's edges."""
+    return np.stack([d[..., 1], -d[..., 0]], axis=-1) / np.hypot(d[..., 0], d[..., 1])[..., None]
 
 
-def _segments_intersect(p, q, r, s):
-    # Proper intersection of open segments pq and rs.
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if v == 0 else (1 if v > 0 else -1)
-
-    o1, o2 = orient(p, q, r), orient(p, q, s)
-    o3, o4 = orient(r, s, p), orient(r, s, q)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
+def _convex(polygons):
+    """Whether each polygon of a stack (nc, nv, 2) turns left or goes
+    straight at every vertex."""
+    d = np.roll(polygons, -1, axis=1) - polygons  # local edge t
+    return ~(_cross(d, np.roll(d, -1, axis=1)) < 0.0).any(axis=1)
 
 
-def _is_simple(polygon):
-    n = len(polygon)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if _segments_intersect(
-                polygon[i], polygon[(i + 1) % n], polygon[j], polygon[(j + 1) % n]
-            ):
-                return False
-    return True
+def _simple(polygons):
+    """Whether no two edges of each polygon of a stack (nc, nv, 2) cross
+    at a point interior to both."""
+    nv = polygons.shape[1]
+    # Every pair of edges: two that share a vertex never cross properly.
+    s, t = np.triu_indices(nv, 1)
+    p, q = polygons[:, s], polygons[:, (s + 1) % nv]
+    r, u = polygons[:, t], polygons[:, (t + 1) % nv]
+
+    def side(a, b, c):
+        return np.sign(_cross(b - a, c - a))
+
+    crossing = (side(p, q, r) * side(p, q, u) < 0) & (side(r, u, p) * side(r, u, q) < 0)
+    return ~crossing.any(axis=1)
 
 
-def _build(vertices, cells, check_simple=False, diameter=None):
-    """Derive all edge/cell data from vertices and CCW cell cycles."""
+# Why _build rejects a cell, in the order it checks them.  quad_cell fans a
+# cell from its centroid, which is exact only on convex cells.
+_CELL_FAULTS = ("has fewer than 3 vertices", "repeats a vertex index",
+                "is not counter-clockwise (signed area {area:g})",
+                "is not a simple polygon", "is not convex")
+
+
+def _build(vertices, cells, diameter=None):
+    """Derive all edge/cell data from vertices and CCW cell cycles.
+
+    Cells are checked and measured one stack of equal vertex count at a
+    time.  Half-edge arrays run over (cell, local edge) in order; edges are
+    numbered in order of first appearance there.
+    """
     vertices = np.asarray(vertices, dtype=float)
-    cells = [np.asarray(c, dtype=np.intp) for c in cells]
+    count = np.fromiter(map(len, cells), np.intp, len(cells))
+    flat = np.concatenate(cells).astype(np.intp, copy=False)
+    first = np.cumsum(count) - count  # first half-edge of each cell
+    n_cells = len(count)
 
-    areas = np.empty(len(cells))
-    centroids = np.empty((len(cells), 2))
-    diameters = np.empty(len(cells))
-    for i, c in enumerate(cells):
-        if len(c) < 3:
-            raise MeshTopologyError(f"cell {i} has fewer than 3 vertices")
-        if len(np.unique(c)) != len(c):
-            raise MeshTopologyError(f"cell {i} repeats a vertex index")
-        poly = vertices[c]
-        a = polygon_area(poly)
-        if a <= 0.0:
-            raise MeshTopologyError(
-                f"cell {i} is not counter-clockwise (signed area {a:g})"
-            )
-        if check_simple:
-            if not _is_simple(poly):
-                raise MeshTopologyError(f"cell {i} is not a simple polygon")
-            if not _is_convex(poly):
-                # quad_cell fans the cell from its centroid, which is
-                # exact only on convex cells.
-                raise MeshTopologyError(f"cell {i} is not convex")
-        areas[i] = a
-        centroids[i] = polygon_centroid(poly)
-        diameters[i] = diameter if diameter is not None else _cell_diameter(poly)
+    fault = np.zeros((len(_CELL_FAULTS), n_cells), dtype=bool)
+    fault[0] = count < 3
+    area = np.zeros(n_cells)
+    groups = []  # (cells, half-edge index (nc, nv), polygons)
+    for nv in np.unique(count[count >= 3]):
+        sel = np.flatnonzero(count == nv)
+        half = first[sel, None] + np.arange(nv)
+        idx = flat[half]
+        poly = vertices[idx]
+        ordered = np.sort(idx, axis=1)
+        fault[1, sel] = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        area[sel] = polygon_area(poly)
+        fault[2, sel] = area[sel] <= 0.0
+        fault[3, sel] = ~_simple(poly)
+        fault[4, sel] = ~_convex(poly)
+        groups.append((sel, half, poly))
+    if fault.any():
+        i = int(np.argmax(fault.any(axis=0)))
+        why = _CELL_FAULTS[int(np.argmax(fault[:, i]))]
+        raise MeshTopologyError(f"cell {i} " + why.format(area=area[i]))
 
-    edge_index = {}
-    edges = []
-    edge_cells = []
-    cell_edges = []
-    for i, c in enumerate(cells):
-        this = []
-        for t in range(len(c)):
-            a, b = int(c[t]), int(c[(t + 1) % len(c)])
-            key = (a, b) if a < b else (b, a)
-            e = edge_index.get(key)
-            if e is None:
-                e = len(edges)
-                edge_index[key] = e
-                edges.append(key)
-                edge_cells.append([])
-            if len(edge_cells[e]) >= 2:
-                raise MeshTopologyError(f"edge {key} incident to more than 2 cells")
-            edge_cells[e].append(i)
-            this.append(e)
-        cell_edges.append(this)
+    # Half-edge h runs from flat[h] to flat[succ[h]].
+    succ = np.arange(1, len(flat) + 1)
+    succ[first + count - 1] = first
+    cell_of = np.repeat(np.arange(n_cells), count)
+    lo, hi = np.minimum(flat, flat[succ]), np.maximum(flat, flat[succ])
+    _, lead, inverse, incidence = np.unique(
+        lo * len(vertices) + hi, return_index=True, return_inverse=True, return_counts=True)
+    if incidence.max() > 2:
+        # Name the edge whose third incidence comes first, as a walk over
+        # the cells in order would.
+        order = np.argsort(inverse, kind="stable")
+        nth = np.empty_like(order)
+        nth[order] = np.arange(len(order)) - np.repeat(np.cumsum(incidence) - incidence, incidence)
+        h = int(np.argmax(nth >= 2))
+        raise MeshTopologyError(
+            f"edge {(int(lo[h]), int(hi[h]))} incident to more than 2 cells")
+    number = np.empty_like(lead)
+    number[np.argsort(lead)] = np.arange(len(lead))
+    half_edge = number[inverse]
+    lead = np.sort(lead)  # first half-edge of each edge
+    edges = np.stack([lo[lead], hi[lead]], axis=1)
+    edge_cells = np.full((len(lead), 2), -1, dtype=np.intp)
+    edge_cells[:, 0] = cell_of[lead]
+    later = np.ones(len(flat), dtype=bool)
+    later[lead] = False
+    edge_cells[half_edge[later], 1] = cell_of[later]
 
-    edges = np.array(edges, dtype=np.intp)
-    n_edges = len(edges)
-    normals = np.empty((n_edges, 2))
-    for e in range(n_edges):
-        lo, hi = edges[e]
-        t = vertices[hi] - vertices[lo]
-        length = np.hypot(t[0], t[1])
-        if length == 0.0:
-            raise MeshTopologyError(f"edge {e} has zero length")
-        t /= length
-        normals[e] = (-t[1], t[0])  # tangent rotated +90 degrees
+    t = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+    length = np.hypot(t[:, 0], t[:, 1])
+    if (length == 0.0).any():
+        raise MeshTopologyError(f"edge {int(np.argmax(length == 0.0))} has zero length")
+    t /= length[:, None]
+    normals = np.stack([-t[:, 1], t[:, 0]], axis=1)  # tangent rotated +90 degrees
 
-    # sigma = n_e . n_outward per (cell, edge); the two must be colinear.
-    signed_cell_edges = []
-    for i, c in enumerate(cells):
-        this = []
-        for t, e in enumerate(cell_edges[i]):
-            a = vertices[c[t]]
-            b = vertices[c[(t + 1) % len(c)]]
-            d = b - a
-            n_out = np.array([d[1], -d[0]]) / np.hypot(d[0], d[1])
-            dot = float(normals[e] @ n_out)
-            if abs(abs(dot) - 1.0) > 1e-9:
-                raise MeshTopologyError(
-                    f"edge {e} normal not colinear with cell {i} outward normal"
-                )
-            this.append((e, 1 if dot > 0 else -1))
-        signed_cell_edges.append(this)
+    # sigma = n_e . n_outward per half-edge; the two must be colinear.
+    n_out = _outward(vertices[flat[succ]] - vertices[flat])
+    dot = (normals[half_edge] * n_out).sum(axis=1)
+    skew = np.abs(np.abs(dot) - 1.0) > 1e-9
+    if skew.any():
+        h = int(np.argmax(skew))
+        raise MeshTopologyError(
+            f"edge {half_edge[h]} normal not colinear with cell {cell_of[h]} outward normal")
+    sigma = np.where(dot > 0, 1.0, -1.0)
 
-    boundary = np.array([len(ec) == 1 for ec in edge_cells])
+    centroids = np.empty((n_cells, 2))
+    diameters = np.empty(n_cells)
+    for sel, half, poly in groups:
+        centroids[sel] = polygon_centroid(poly)
+        gap = poly[:, :, None, :] - poly[:, None, :, :]
+        diameters[sel] = np.sqrt((gap * gap).sum(axis=-1).max(axis=(1, 2)))
+    if diameter is not None:
+        diameters[:] = diameter
     return Mesh(
         vertices=vertices,
-        cells=cells,
+        cells=np.split(flat, first[1:]),
         edges=edges,
         edge_normal=normals,
-        edge_boundary=boundary,
+        edge_boundary=edge_cells[:, 1] < 0,
         edge_cells=edge_cells,
-        cell_edges=signed_cell_edges,
-        cell_area=areas,
+        stacks=[CellStack(sel, poly, half_edge[half], sigma[half])
+                for sel, half, poly in groups],
+        cell_area=area,
         cell_centroid=centroids,
         cell_diameter=diameters,
         h=float(diameters.max()),
@@ -252,22 +245,12 @@ def build_triangular(n: int) -> Mesh:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    vertices = np.array(
-        [(i / n, j / n) for j in range(n + 1) for i in range(n + 1)]
-    )
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            a = vid(i, j)
-            b = vid(i + 1, j)
-            c = vid(i + 1, j + 1)
-            d = vid(i, j + 1)
-            cells.append([a, b, c])
-            cells.append([a, c, d])
+    x = np.arange(n + 1) / n
+    vertices = np.stack([np.tile(x, n + 1), np.repeat(x, n + 1)], axis=1)
+    # Lower-left corner of grid square (i, j), row by row.
+    a = (np.arange(n) + (n + 1) * np.arange(n)[:, None]).ravel()
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     # All cells are congruent right triangles; the diameter is the diagonal.
     return _build(vertices, cells, diameter=math.sqrt(2.0) / n)
 
@@ -387,17 +370,22 @@ def load_mesh(stream) -> Mesh:
     try:
         nv = int(tok[1])
     except ValueError:
-        raise MeshFormatError(f"line {ln}: bad vertex count {tok[1]!r}") from None
+        nv = -1
+    if nv < 0:
+        raise MeshFormatError(f"line {ln}: bad vertex count {tok[1]!r}")
 
-    vertices = np.empty((nv, 2))
-    for i in range(nv):
+    vertices = []
+    for _ in range(nv):
         ln, tok = take("vertex coordinates")
         if len(tok) != 2:
             raise MeshFormatError(f"line {ln}: expected 'x y'")
         try:
-            vertices[i] = [float(tok[0]), float(tok[1])]
+            x, y = float(tok[0]), float(tok[1])
         except ValueError:
             raise MeshFormatError(f"line {ln}: bad coordinate") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise MeshFormatError(f"line {ln}: non-finite coordinate")
+        vertices.append((x, y))
 
     ln, tok = take("'cells M'")
     if len(tok) != 2 or tok[0] != "cells":
@@ -406,6 +394,8 @@ def load_mesh(stream) -> Mesh:
         nc = int(tok[1])
     except ValueError:
         raise MeshFormatError(f"line {ln}: bad cell count {tok[1]!r}") from None
+    if nc < 1:
+        raise MeshFormatError(f"line {ln}: a mesh needs at least one cell")
 
     cells = []
     for i in range(nc):
@@ -416,7 +406,7 @@ def load_mesh(stream) -> Mesh:
             raise MeshFormatError(f"line {ln}: bad vertex index") from None
         if len(idx) < 3:
             raise MeshFormatError(f"line {ln}: cell {i} needs >= 3 vertices")
-        if any(v < 0 or v >= nv for v in idx):
+        if min(idx) < 0 or max(idx) >= nv:
             raise MeshFormatError(f"line {ln}: cell {i} index out of range")
         if len(set(idx)) != len(idx):
             raise MeshFormatError(f"line {ln}: cell {i} repeats a vertex index")
@@ -425,7 +415,7 @@ def load_mesh(stream) -> Mesh:
         ln, _ = tokens[pos]
         raise MeshFormatError(f"line {ln}: trailing content after cells")
 
-    return _build(vertices, cells, check_simple=True)
+    return _build(vertices, cells)
 
 
 def dump_mesh(mesh: Mesh, stream):
@@ -444,43 +434,40 @@ def dump_mesh(mesh: Mesh, stream):
 
 
 def validate(mesh: Mesh, unit_square: bool = True) -> list:
-    """Check every mesh invariant; returns a list of violation strings."""
-    report = []
-    for e, ec in enumerate(mesh.edge_cells):
-        if len(ec) not in (1, 2):
-            report.append(f"edge {e}: incident to {len(ec)} cells")
-        if (len(ec) == 1) != bool(mesh.edge_boundary[e]):
-            report.append(f"edge {e}: boundary flag inconsistent with incidence")
+    """Check every mesh invariant; returns a list of violation strings.
 
-    sigma_sum = {}
-    for i, this in enumerate(mesh.cell_edges):
-        cell = mesh.cells[i]
-        for t, (e, sigma) in enumerate(this):
-            if sigma not in (1, -1):
-                report.append(f"cell {i}, edge {e}: |sigma| != 1")
-                continue
-            a = mesh.vertices[cell[t]]
-            b = mesh.vertices[cell[(t + 1) % len(cell)]]
-            d = b - a
-            n_out = np.array([d[1], -d[0]]) / np.hypot(d[0], d[1])
-            if np.linalg.norm(sigma * mesh.edge_normal[e] - n_out) > 1e-9:
-                report.append(
-                    f"cell {i}, edge {e}: sigma*n_e does not match outward normal"
-                )
-            if not mesh.edge_boundary[e]:
-                sigma_sum[e] = sigma_sum.get(e, 0) + sigma
-    for e, s in sigma_sum.items():
-        if s != 0:
-            report.append(f"edge {e}: interior sigma values sum to {s}")
+    Cell data is read from the stored stacks, one stack at a time.
+    """
+    report = [f"vertex {v}: non-finite coordinate"
+              for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))]
+    incidence = (mesh.edge_cells >= 0).sum(axis=1)
+    report += [f"edge {e}: incident to {incidence[e]} cells"
+               for e in np.flatnonzero((incidence < 1) | (incidence > 2))]
+    report += [f"edge {e}: boundary flag inconsistent with incidence"
+               for e in np.flatnonzero((incidence == 1) != mesh.edge_boundary)]
 
-    for i in range(mesh.n_cells):
-        poly = mesh.cell_polygon(i)
-        if polygon_area(poly) <= 0.0:
-            report.append(f"cell {i}: non-positive area")
-        if not _is_simple(poly):
-            report.append(f"cell {i}: non-simple polygon")
-        elif not _is_convex(poly):
-            report.append(f"cell {i}: non-convex polygon")
+    sigma_sum = np.zeros(mesh.n_edges)
+    edge_faults, cell_faults = [], []  # (cell, message)
+    for s in mesh.stacks:
+        n_out = _outward(np.roll(s.polygons, -1, axis=1) - s.polygons)
+        unit = np.abs(s.sigma) == 1.0
+        off = np.linalg.norm(s.sigma[..., None] * mesh.edge_normal[s.edges] - n_out, axis=-1) > 1e-9
+        for bad, what in ((~unit, "|sigma| != 1"),
+                          (unit & off, "sigma*n_e does not match outward normal")):
+            edge_faults += [(s.cells[c], f"cell {s.cells[c]}, edge {s.edges[c, t]}: {what}")
+                            for c, t in zip(*np.nonzero(bad))]
+        interior = unit & ~mesh.edge_boundary[s.edges]
+        sigma_sum += np.bincount(s.edges[interior], s.sigma[interior], mesh.n_edges)
+
+        simple = _simple(s.polygons)
+        for bad, what in ((polygon_area(s.polygons) <= 0.0, "non-positive area"),
+                          (~simple, "non-simple polygon"),
+                          (simple & ~_convex(s.polygons), "non-convex polygon")):
+            cell_faults += [(i, f"cell {i}: {what}") for i in s.cells[bad]]
+    report += [m for _, m in sorted(edge_faults, key=lambda f: f[0])]
+    report += [f"edge {e}: interior sigma values sum to {sigma_sum[e]:g}"
+               for e in np.flatnonzero(sigma_sum)]
+    report += [m for _, m in sorted(cell_faults, key=lambda f: f[0])]
 
     if unit_square:
         total = float(mesh.cell_area.sum())

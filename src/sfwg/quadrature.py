@@ -130,9 +130,10 @@ def at_points(f, pts):
 
 
 def polygon_area(polygon):
-    x = polygon[:, 0]
-    y = polygon[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    """Signed area of a polygon (nv, 2), or of each polygon in a stack (..., nv, 2)."""
+    x = polygon[..., 0]
+    y = polygon[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
 
 
 def polygon_centroid(polygon):

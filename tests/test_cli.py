@@ -152,6 +152,19 @@ def test_nonconvex_mesh_file_exits_2(tmp_path, capsys):
     assert "not convex" in err
 
 
+@pytest.mark.parametrize("vertices,message", [
+    # A convex sliver: valid as a mesh, but its P_j basis is rank deficient.
+    ("0 0\n1 0\n0.5 1e-9\n", "P_4 basis of cell 0 is rank deficient"),
+    ("nan 0\n1 0\n0 1\n", "line 3: non-finite coordinate"),
+], ids=["sliver", "nan"])
+def test_unusable_mesh_file_exits_2(vertices, message, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"polymesh 1\nvertices 3\n{vertices}cells 1\n0 1 2\n")
+    code, _, err = run_cli(capsys, "solve", "--mesh", f"file:{path}")
+    assert code == 2
+    assert message in err
+
+
 @pytest.mark.parametrize("command", ["study", "solve"])
 def test_missing_mesh_file_exits_2(command, tmp_path, capsys):
     code, _, err = run_cli(capsys, command, "--mesh", f"file:{tmp_path / 'none.txt'}")

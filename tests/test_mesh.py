@@ -7,12 +7,15 @@ import pytest
 from sfwg.mesh import (
     MeshFormatError,
     MeshTopologyError,
+    _convex,
     build_polygonal,
     build_triangular,
+    cell_stacks,
     dump_mesh,
     load_mesh,
     validate,
 )
+from sfwg.quadrature import polygon_area
 
 
 def test_triangular_n1_counts():
@@ -58,20 +61,21 @@ def test_areas_partition_unit_square(make):
 @pytest.mark.parametrize("make", [build_triangular, build_polygonal])
 def test_interior_sigma_cancels(make):
     m = make(4)
-    sums = {}
-    for i, ces in enumerate(m.cell_edges):
-        for e, s in ces:
-            assert s in (1, -1)
-            if not m.edge_boundary[e]:
-                sums[e] = sums.get(e, 0) + s
-    assert all(v == 0 for v in sums.values())
-    assert len(sums) == int((~m.edge_boundary).sum())
+    sums = np.zeros(m.n_edges)
+    seen = np.zeros(m.n_edges, dtype=int)
+    for s in m.stacks:
+        assert np.isin(s.sigma, (1.0, -1.0)).all()
+        np.add.at(sums, s.edges, s.sigma)
+        np.add.at(seen, s.edges, 1)
+    assert (sums[~m.edge_boundary] == 0).all()
+    assert (seen[~m.edge_boundary] == 2).all()
 
 
 def test_edge_incidence_counts():
     m = build_polygonal(4)
-    for e, cells in enumerate(m.edge_cells):
-        assert len(cells) == (1 if m.edge_boundary[e] else 2)
+    incidence = (m.edge_cells >= 0).sum(axis=1)
+    assert (incidence == np.where(m.edge_boundary, 1, 2)).all()
+    assert (m.edge_cells[:, 0] >= 0).all()
 
 
 def test_polygonal_h_ratio():
@@ -81,13 +85,10 @@ def test_polygonal_h_ratio():
 
 
 def test_polygonal_cells_convex_ccw():
-    from sfwg.quadrature import polygon_area
     m = build_polygonal(5)
-    from sfwg.mesh import _is_convex
-    for i in range(m.n_cells):
-        poly = m.cell_polygon(i)
-        assert polygon_area(poly) > 0
-        assert _is_convex(poly)
+    for s in m.stacks:
+        assert (polygon_area(s.polygons) > 0).all()
+        assert _convex(s.polygons).all()
 
 
 def test_polygonal_has_hexagons_and_boundary_cells():
@@ -121,13 +122,12 @@ def test_validate_clean_meshes():
 def test_validate_reports_flipped_sigma():
     m = build_triangular(2)
     # Flip one interior sigma by hand.
-    for i, ces in enumerate(m.cell_edges):
-        for t, (e, s) in enumerate(ces):
-            if not m.edge_boundary[e]:
-                m.cell_edges[i][t] = (e, -s)
-                report = validate(m)
-                assert any(f"edge {e}" in line for line in report)
-                return
+    (stack,) = m.stacks
+    c, t = np.argwhere(~m.edge_boundary[stack.edges])[0]
+    stack.sigma[c, t] *= -1
+    e = stack.edges[c, t]
+    report = validate(m)
+    assert any(f"edge {e}" in line for line in report)
 
 
 def test_validate_area_sum_violation():
@@ -181,6 +181,13 @@ def test_load_rejects_bad_cell_count():
         load_mesh(io.StringIO(text))
 
 
+@pytest.mark.parametrize("count", ["x", "-1"])
+def test_load_rejects_bad_vertex_count(count):
+    text = f"polymesh 1\nvertices {count}\ncells 1\n0 1 2\n"
+    with pytest.raises(MeshFormatError, match=f"^line 2: bad vertex count '{count}'$"):
+        load_mesh(io.StringIO(text))
+
+
 def test_load_rejects_out_of_range_index():
     text = "polymesh 1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 7\n"
     with pytest.raises(MeshFormatError, match="out of range"):
@@ -219,4 +226,99 @@ def test_load_warns_on_nonconvex_cell():
     # The dart cell is simple but not convex, which the cell quadrature
     # cannot integrate: it is rejected, not warned about.
     with pytest.raises(MeshTopologyError, match="cell 0 is not convex"):
+        load_mesh(io.StringIO(text))
+
+
+def test_triangular_edge_numbering_and_sigma_by_hand():
+    # Edges are numbered as they first appear, cell by cell and local edge
+    # by local edge; sigma is +1 where a cell runs along an edge from its
+    # higher to its lower vertex index.
+    m = build_triangular(1)
+    assert m.edges.tolist() == [[0, 1], [1, 3], [0, 3], [2, 3], [0, 2]]
+    (s,) = m.stacks
+    assert s.edges.tolist() == [[0, 1, 2], [2, 3, 4]]
+    assert s.sigma.tolist() == [[-1, -1, 1], [-1, 1, 1]]
+    assert m.edge_cells.tolist() == [[0, -1], [0, -1], [0, 1], [1, -1], [1, -1]]
+
+    m = build_triangular(2)
+    assert m.edges.tolist() == [
+        [0, 1], [1, 4], [0, 4], [3, 4], [0, 3], [1, 2], [2, 5], [1, 5],
+        [4, 5], [4, 7], [3, 7], [6, 7], [3, 6], [5, 8], [4, 8], [7, 8],
+    ]
+    (s,) = m.stacks
+    assert s.cells.tolist() == list(range(8))
+    assert s.edges.tolist() == [
+        [0, 1, 2], [2, 3, 4], [5, 6, 7], [7, 8, 1],
+        [3, 9, 10], [10, 11, 12], [8, 13, 14], [14, 15, 9],
+    ]
+    assert s.sigma.tolist() == [[-1, -1, 1], [-1, 1, 1]] * 4
+    assert m.edge_cells.tolist() == [
+        [0, -1], [0, 3], [0, 1], [1, 4], [1, -1], [2, -1], [2, -1], [2, 3],
+        [3, 6], [4, 7], [4, 5], [5, -1], [5, -1], [6, -1], [6, 7], [7, -1],
+    ]
+    assert m.edge_boundary.tolist() == (m.edge_cells[:, 1] < 0).tolist()
+
+
+def test_cell_stacks_are_the_stored_stacks():
+    m = build_polygonal(4)
+    assert cell_stacks(m) is m.stacks
+    assert [s.polygons.shape[1] for s in m.stacks] == [4, 5, 6]
+    cells = np.concatenate([s.cells for s in m.stacks])
+    assert sorted(cells.tolist()) == list(range(m.n_cells))
+    for s in m.stacks:
+        assert np.array_equal(s.polygons, m.vertices[np.stack([m.cells[c] for c in s.cells])])
+    # A subset is a slice of the stored stacks, duplicates dropped.
+    pick = [m.stacks[2].cells[3], m.stacks[0].cells[1], m.stacks[2].cells[0],
+            m.stacks[0].cells[1]]
+    sub = cell_stacks(m, pick)
+    assert len(sub) == 2
+    for got, full in zip(sub, (m.stacks[0], m.stacks[2])):
+        rows = np.flatnonzero(np.isin(full.cells, pick))
+        assert np.array_equal(got.cells, full.cells[rows])
+        assert np.array_equal(got.polygons, full.polygons[rows])
+        assert np.array_equal(got.edges, full.edges[rows])
+        assert np.array_equal(got.sigma, full.sigma[rows])
+
+
+def test_load_rejects_self_intersecting_cell():
+    # A pentagram: the vertices of a regular pentagon taken in the order
+    # 0 2 4 1 3.  It turns left at every vertex and its shoelace area is
+    # positive, so only the simplicity check rejects it.
+    angle = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+    pentagon = 0.5 + 0.4 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    star = pentagon[[0, 2, 4, 1, 3]]
+    assert _convex(star[None]).all() and polygon_area(star) > 0
+    text = ("polymesh 1\nvertices 5\n" + "".join(f"{x} {y}\n" for x, y in pentagon)
+            + "cells 1\n0 2 4 1 3\n")
+    with pytest.raises(MeshTopologyError, match="^cell 0 is not a simple polygon$"):
+        load_mesh(io.StringIO(text))
+
+
+def test_load_names_the_lowest_bad_cell():
+    # Cell 1 (a dart, in the stack of pentagons) is not convex and cell 2
+    # (a triangle) is clockwise: the error names cell 1.
+    text = (
+        "polymesh 1\nvertices 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.5\n"
+        "cells 3\n0 1 2\n0 1 2 3 4\n0 2 1\n"
+    )
+    with pytest.raises(MeshTopologyError, match="^cell 1 is not convex$"):
+        load_mesh(io.StringIO(text))
+
+
+@pytest.mark.parametrize("coord", ["nan 0", "0 inf", "-inf 1"])
+def test_load_rejects_non_finite_coordinate(coord):
+    text = f"polymesh 1\nvertices 3\n0 0\n{coord}\n0 1\ncells 1\n0 1 2\n"
+    with pytest.raises(MeshFormatError, match="^line 4: non-finite coordinate$"):
+        load_mesh(io.StringIO(text))
+
+
+def test_validate_reports_non_finite_vertex():
+    m = build_triangular(2)
+    m.vertices[4, 1] = np.nan
+    assert "vertex 4: non-finite coordinate" in validate(m)
+
+
+def test_load_rejects_empty_mesh():
+    text = "polymesh 1\nvertices 3\n0 0\n1 0\n0 1\ncells 0\n"
+    with pytest.raises(MeshFormatError, match="^line 6: a mesh needs at least one cell$"):
         load_mesh(io.StringIO(text))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sfwg.basis import CellBasis, EdgeBasis, dim_pk
-from sfwg.mesh import build_polygonal, build_triangular
+from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
 from sfwg.quadrature import quad_cell, quad_edge
 from sfwg.weakop import (
     WeakFunction,
@@ -31,6 +31,12 @@ def lifted_values(op, dofs, pts):
     return op.basis_j.values(pts)[0] @ apply_weak_laplacian(op, dofs)[0]
 
 
+def sigma_of(mesh, cell, e):
+    """sigma of edge e in the given cell."""
+    (stack,) = cell_stacks(mesh, [cell])
+    return stack.sigma[0][stack.edges[0] == e].item()
+
+
 def test_rejects_j_not_exceeding_k():
     mesh = build_triangular(1)
     with pytest.raises(ValueError, match="j=2"):
@@ -48,7 +54,7 @@ def test_local_dof_count():
     mesh = build_polygonal(2)
     k = 3
     op = element_weak_laplacian(mesh, 0, k, k + 4)
-    n_edges = len(mesh.cell_edges[0])
+    n_edges = cell_stacks(mesh, [0])[0].edges.shape[1]
     assert op.matrix.shape == (1, dim_pk(k + 4), dim_pk(k) + 2 * k * n_edges)
     with pytest.raises(ValueError, match="local DOFs"):
         apply_weak_laplacian(op, np.zeros(3))
@@ -110,7 +116,8 @@ def test_single_vb_column_against_independent_quadrature():
     mesh = build_triangular(2)
     k, j = 2, 4
     cell = 3
-    e, sigma = mesh.cell_edges[cell][1]
+    (stack,) = cell_stacks(mesh, [cell])
+    e, sigma = stack.edges[0, 1], stack.sigma[0, 1]
     v = zero_weak(mesh, k)
     p0, p1 = mesh.edge_endpoints(e)
     ebasis = EdgeBasis(k - 1, p0, p1)
@@ -157,12 +164,12 @@ def test_flux_column_sign_tracks_sigma():
         crule = quad_cell(mesh.cell_polygon(cell), 2 * j)
         vq = op.basis_j.values(crule.points)[0]
         mass = vq.T @ (crule.weights[:, None] * vq)
-        sigma = dict(mesh.cell_edges[cell])[e]
+        sigma = sigma_of(mesh, cell, e)
         results[cell] = (mass @ coeff, sigma * vj)
     for coeffs, expected in results.values():
         assert np.allclose(coeffs, expected, atol=1e-12)
-    sa = dict(mesh.cell_edges[ca])[e]
-    sb = dict(mesh.cell_edges[cb])[e]
+    sa = sigma_of(mesh, ca, e)
+    sb = sigma_of(mesh, cb, e)
     assert sa == -sb
 
 
