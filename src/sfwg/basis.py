@@ -1,14 +1,13 @@
-"""Polynomial bases on cells and edges, mass matrices, and L2 projections.
+"""Polynomial bases on cells and edges, and L2 projections.
 
-The P_k cell basis of the weak functions is scaled monomials centered at
-the cell centroid.  Scaling by the cell diameter makes their mass matrices
-independent of h, but not of the degree: on a triangle the condition number
-is about 1e8 at degree 4 and 1e10 at degree 5, so monomials are no basis
-for the P_j lifting space of the weak Laplacian.  That space gets an
-orthonormal basis per cell instead, built from products of Legendre
-polynomials in the same scaled coordinates.  Edge bases are Legendre
-polynomials in arclength, normalized to be orthonormal with respect to the
-edge line integral.
+Cell polynomials are products of Legendre polynomials P_a(x') P_b(y'),
+a + b <= m, in the coordinates (x', y') = (x - c) / (d / 2) of a cell with
+centroid c and diameter d, which keep the cell near [-1, 1]^2.  In the graded
+order of ``monomial_exponents`` the products of degree <= k lead those of
+degree j > k, so the P_k basis of v0 (``CellBasis``) is the leading part of
+the P_j products that ``OrthonormalCellBasis`` orthonormalizes per cell.
+Edge bases are Legendre polynomials in arclength, orthonormal with respect
+to the edge line integral.
 """
 
 import functools
@@ -40,47 +39,66 @@ def monomial_exponents(degree):
     return np.array(ea, dtype=np.intp), np.array(eb, dtype=np.intp)
 
 
-def monomial_table(pts, cx, cy, h, degree):
-    """Values, gradients, and Laplacians of the scaled monomials
-    ((x-cx)/h)^a ((y-cy)/h)^b, a+b <= degree, at ``pts`` (npoints, 2).
+def _legendre_derivative(p):
+    """Derivatives of the Legendre series in ``p`` (last axis the degree n),
+    by P'_{n+1} = P'_{n-1} + (2n+1) P_n; applied to P_n it gives P_n'."""
+    d = np.zeros_like(p)
+    for n in range(p.shape[-1] - 1):
+        d[..., n + 1] = (2 * n + 1) * p[..., n] + (d[..., n - 1] if n else 0.0)
+    return d
 
-    Returns arrays (vals, gx, gy, lap), each of shape (npoints, nbasis),
-    with derivatives in the physical coordinates (factors 1/h and 1/h^2).
-    """
-    pts = np.asarray(pts, dtype=np.float64)
-    x = (pts[:, 0] - cx) / h
-    y = (pts[:, 1] - cy) / h
-    q = x.shape[0]
 
-    # Power tables px[:, a] = x**a, padded by two leading zero columns so
-    # that exponent e-1 / e-2 lookups stay in range (factor e makes the
-    # spurious columns irrelevant).
-    px = np.ones((q, degree + 3))
-    py = np.ones((q, degree + 3))
-    for a in range(1, degree + 1):
-        px[:, a + 2] = px[:, a + 1] * x
-        py[:, a + 2] = py[:, a + 1] * y
-    px[:, :2] = 0.0
-    py[:, :2] = 0.0
-    px[:, 2] = 1.0
-    py[:, 2] = 1.0
+def _scaled_legendre(pts, centroid, diameter, degree):
+    """h = diameter / 2 and the 1-D tables P_n(x'), P_n(y') at ``pts``, each
+    shaped (..., npts, degree + 1)."""
+    h = 0.5 * np.asarray(diameter, dtype=float)[..., None, None]
+    x = (np.asarray(pts, dtype=np.float64) - np.asarray(centroid)[..., None, :]) / h
+    return h, legvander(x[..., 0], degree), legvander(x[..., 1], degree)
 
+
+def legendre_values(pts, centroid, diameter, degree):
+    """Values of the Legendre products of ``legendre_table`` only."""
+    _, px, py = _scaled_legendre(pts, centroid, diameter, degree)
     ea, eb = monomial_exponents(degree)
-    fa = ea.astype(np.float64)
-    fb = eb.astype(np.float64)
+    return px[..., ea] * py[..., eb]
 
-    vals = px[:, ea + 2] * py[:, eb + 2]
-    gx = fa * px[:, ea + 1] * py[:, eb + 2] / h
-    gy = fb * px[:, ea + 2] * py[:, eb + 1] / h
-    lap = (
-        fa * (fa - 1.0) * px[:, ea] * py[:, eb + 2]
-        + fb * (fb - 1.0) * px[:, ea + 2] * py[:, eb]
-    ) / (h * h)
-    return vals, gx, gy, lap
+
+def legendre_table(pts, centroid, diameter, degree):
+    """Values and gradients of Legendre products at ``pts``.
+
+    The functions are P_a(x') P_b(y') with a+b <= degree, in the graded
+    order of ``monomial_exponents``, and (x', y') = (pts - centroid) / h for
+    h = diameter / 2, which keeps a cell near [-1, 1]^2.  ``centroid``
+    (..., 2) and ``diameter`` (...) may be per cell, with ``pts``
+    (..., npts, 2).  Returns (vals, gx, gy), each (..., npts, nbasis), with
+    physical derivatives.
+    """
+    h, px, py = _scaled_legendre(pts, centroid, diameter, degree)
+    dpx, dpy = _legendre_derivative(px), _legendre_derivative(py)
+    ea, eb = monomial_exponents(degree)
+    return (px[..., ea] * py[..., eb], dpx[..., ea] * py[..., eb] / h,
+            px[..., ea] * dpy[..., eb] / h)
+
+
+@functools.lru_cache(maxsize=None)
+def legendre_laplacian(degree):
+    """Laplacians of the Legendre products as Legendre-product coefficients.
+
+    Column i holds the coefficients of P_a''(x') P_b(y') + P_a(x') P_b''(y')
+    for product i = (a, b); divided by h^2 they are the physical Laplacian.
+    A Laplacian has degree two less, so only the leading dim P_{degree-2}
+    rows are nonzero.
+    """
+    # dd[m, n]: coefficient of P_m in P_n''
+    dd = _legendre_derivative(_legendre_derivative(np.eye(degree + 1)))
+    ea, eb = monomial_exponents(degree)
+    return (dd[ea[:, None], ea] * (eb[:, None] == eb)
+            + (ea[:, None] == ea) * dd[eb[:, None], eb])
 
 
 class CellBasis:
-    """Scaled monomial basis of P_m on a cell with given centroid/diameter.
+    """Basis of P_m on a cell with given centroid and diameter: the Legendre
+    products of ``legendre_table``.
 
     A stack of cells (centroids (..., 2), diameters (...)) is one basis per
     cell, evaluated at per-cell points (..., npts, 2).
@@ -93,82 +111,19 @@ class CellBasis:
         self.dim = dim_pk(degree)
 
     def tables(self, pts):
-        """(values, d/dx, d/dy, Laplacian) tables, each (..., npts, dim)."""
-        h = self.diameter[..., None, None]
-        x = (np.asarray(pts, dtype=np.float64) - self.centroid[..., None, :]) / h
-        shape = x.shape[:-1] + (self.dim,)
-        v, gx, gy, lap = (
-            t.reshape(shape)
-            for t in monomial_table(
-                np.ascontiguousarray(x.reshape(-1, 2)), 0.0, 0.0, 1.0, self.degree
-            )
-        )
-        return v, gx / h, gy / h, lap / (h * h)
+        """(values, d/dx, d/dy) tables, each (..., npts, dim)."""
+        return legendre_table(pts, self.centroid, self.diameter, self.degree)
 
     def values(self, pts):
-        return self.tables(pts)[0]
+        return legendre_values(pts, self.centroid, self.diameter, self.degree)
 
     def gradients(self, pts):
-        v, gx, gy, lap = self.tables(pts)
-        return np.stack([gx, gy], axis=-1)
+        return np.stack(self.tables(pts)[1:], axis=-1)
 
     def laplacians(self, pts):
-        return self.tables(pts)[3]
-
-
-def _legendre_1d(t, degree):
-    """P_n(t) for n <= degree, shaped t.shape + (degree + 1,)."""
-    p = np.zeros(t.shape + (degree + 1,))
-    p[..., 0] = 1.0
-    if degree >= 1:
-        p[..., 1] = t
-    for n in range(1, degree):
-        p[..., n + 1] = ((2 * n + 1) * t * p[..., n] - n * p[..., n - 1]) / (n + 1)
-    return p
-
-
-def _legendre_derivative(p):
-    """Derivatives of the Legendre series in ``p`` (last axis the degree n),
-    by P'_{n+1} = P'_{n-1} + (2n+1) P_n; applied to P_n it gives P_n'."""
-    d = np.zeros_like(p)
-    for n in range(p.shape[-1] - 1):
-        d[..., n + 1] = (2 * n + 1) * p[..., n] + (d[..., n - 1] if n else 0.0)
-    return d
-
-
-def _scaled_legendre(pts, centroid, diameter, degree):
-    """h = diameter / 2 and the 1-D tables P_n(x'), P_n(y') at ``pts``."""
-    h = 0.5 * np.asarray(diameter, dtype=float)[..., None, None]
-    x = (np.asarray(pts, dtype=np.float64) - np.asarray(centroid)[..., None, :]) / h
-    return h, _legendre_1d(x[..., 0], degree), _legendre_1d(x[..., 1], degree)
-
-
-def legendre_values(pts, centroid, diameter, degree):
-    """Values of the Legendre products of ``legendre_table`` only."""
-    _, px, py = _scaled_legendre(pts, centroid, diameter, degree)
-    ea, eb = monomial_exponents(degree)
-    return px[..., ea] * py[..., eb]
-
-
-def legendre_table(pts, centroid, diameter, degree):
-    """Values, gradients, and Laplacians of Legendre products at ``pts``.
-
-    The functions are P_a(x') P_b(y') with a+b <= degree, in the graded
-    order of the scaled monomials, and (x', y') = (pts - centroid) / h for
-    h = diameter / 2, which keeps a cell near [-1, 1]^2.  ``centroid``
-    (..., 2) and ``diameter`` (...) may be per cell, with ``pts``
-    (..., npts, 2).  Returns (vals, gx, gy, lap), each (..., npts, nbasis),
-    with physical derivatives.
-    """
-    h, px, py = _scaled_legendre(pts, centroid, diameter, degree)
-    dpx, dpy = _legendre_derivative(px), _legendre_derivative(py)
-    ddpx, ddpy = _legendre_derivative(dpx), _legendre_derivative(dpy)
-    ea, eb = monomial_exponents(degree)
-    vals = px[..., ea] * py[..., eb]
-    gx = dpx[..., ea] * py[..., eb] / h
-    gy = px[..., ea] * dpy[..., eb] / h
-    lap = (ddpx[..., ea] * py[..., eb] + px[..., ea] * ddpy[..., eb]) / (h * h)
-    return vals, gx, gy, lap
+        h2 = 0.25 * self.diameter[..., None, None] ** 2
+        return (legendre_values(pts, self.centroid, self.diameter, self.degree)
+                @ legendre_laplacian(self.degree) / h2)
 
 
 class OrthonormalCellBasis(CellBasis):
@@ -178,21 +133,26 @@ class OrthonormalCellBasis(CellBasis):
     Householder QR of their sqrt(w)-weighted value table, sqrt(w) V = Q R
     (see ``orthonormal_factor``): basis function i is sum_m V_m (R^-1)_mi.
     The Gram matrix of V is never formed, so its conditioning (about 1e7 at
-    degree 5 on a triangle, against 1e10 for scaled monomials) enters only
-    through R, as its square root.  Like CellBasis it may be a stack, with
-    R (..., dim, dim).
+    degree 5 on a triangle) enters only through R, as its square root.  Like
+    CellBasis it may be a stack, with R (..., dim, dim).
     """
 
     def __init__(self, degree: int, centroid, diameter, r):
         super().__init__(degree, centroid, diameter)
         self.r = r
 
-    def legendre_tables(self, pts):
-        return legendre_table(pts, self.centroid, self.diameter, self.degree)
-
     def tables(self, pts):
-        return tuple(from_legendre(self.r, t.swapaxes(-1, -2)).swapaxes(-1, -2)
-                     for t in self.legendre_tables(pts))
+        return tuple(self._from_legendre(t) for t in super().tables(pts))
+
+    def values(self, pts):
+        return self._from_legendre(super().values(pts))
+
+    def laplacians(self, pts):
+        return self._from_legendre(super().laplacians(pts))
+
+    def _from_legendre(self, table):
+        """A table of the Legendre products mapped to this basis, table R^-1."""
+        return from_legendre(self.r, table.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def from_legendre(r, moments):

@@ -5,8 +5,8 @@ Three functionals are reported per run:
 * energy error  |||u - u_h||| = (sum_T ||Pi_j lap u - Lw u_h||^2_T)^(1/2),
   using that the weak Laplacian of a smooth field is the P_j projection of
   its Laplacian;
-* broken H2 error ||u - u_h||_{2,h} with h-weighted edge jump terms, where
-  the smooth field contributes its analytic traces;
+* broken H2 error ||u - u_h||_{2,h} with h-weighted edge jump terms, in
+  which the traces of the smooth field cancel;
 * the plain L2 error of the cell-interior part.
 """
 
@@ -94,9 +94,10 @@ def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops=None):
     """Energy-norm error via the projected-Laplacian identity.
 
     ``ops`` is the list from ``element_operators(mesh, k, j)``, built here
-    when not given.  Pi_j lap u is taken in each operator's ``basis_j``,
-    which is orthonormal, so its coefficients are the moments of lap u,
-    formed against the Legendre products and mapped by R^-T.
+    when not given; given, each operator's own P_j degree is used and ``j``
+    is not read.  Pi_j lap u is taken in each operator's ``basis_j``, which
+    is orthonormal, so its coefficients are the moments of lap u, formed
+    against the Legendre products and mapped by R^-T.
     """
     if ops is None:
         ops = element_operators(mesh, k, j)
@@ -104,8 +105,8 @@ def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops=None):
     total = 0.0
     for op in ops:
         basis = op.basis_j
-        rule = quad_cell(op.stack.polygons, cell_rule_degree(j))
-        vals = legendre_values(rule.points, basis.centroid, basis.diameter, j)
+        rule = quad_cell(op.stack.polygons, cell_rule_degree(basis.degree))
+        vals = legendre_values(rule.points, basis.centroid, basis.diameter, basis.degree)
         moments = vals.swapaxes(-1, -2) @ (
             rule.weights * at_points(exact.laplacian, rule.points))[..., None]
         diff = (from_legendre(basis.r, moments)[..., 0]
@@ -120,10 +121,14 @@ def triple_bar_norm(v: WeakFunction, mesh, k, j):
 
 
 def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
-    """Broken H2 error of v = u - u_h, with analytic traces for u.
+    """Broken H2 error of v = u - u_h.
 
     Per cell: ||lap v0||^2 + h^-3 ||Qb(v0 - v_b)||^2 + h^-1 ||(grad v0 -
-    v_n n_e) . n||^2, the last two summed over the cell's edges.
+    v_n n_e) . n||^2, the last two summed over the cell's edges.  The traces
+    of u cancel from the edge terms, so u is evaluated in cells only: with
+    v0 = u - u_h0, v_b = u - u_hb and v_n = grad u . n_e - u_hn,
+    Qb(v0 - v_b) = Qb(u_hb - u_h0), and since n = sigma n_e,
+    (grad v0 - v_n n_e) . n = sigma u_hn - grad u_h0 . n.
     """
     total = 0.0
     for stack in cell_stacks(mesh):
@@ -142,26 +147,20 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
         w = erule.weights
         chi = EdgeBasis(k - 1, p0, p1).values(erule.params)    # (nc, nv, q, k)
         shape = erule.points.shape[:-1] + (-1,)
-        vk, gkx, gky, _ = (
+        vk, gkx, gky = (
             t.reshape(shape) for t in basis.tables(erule.points.reshape(len(cells), -1, 2))
         )
-        u_e = at_points(exact.u, erule.points)
-        grad_e = at_points(exact.grad, erule.points)
-        n_e = mesh.edge_normal[stack.edges]
-        n_out = stack.sigma[..., None] * n_e
+        n_out = stack.sigma[..., None] * mesh.edge_normal[stack.edges]
 
-        # || Qb(v0 - v_b) ||^2: project the pointwise difference, take the
-        # coefficient norm (orthonormal basis).
-        g = (u_e - np.einsum("ctqi,ci->ctq", vk, c0)) - (
-            u_e - np.einsum("ctqa,cta->ctq", chi, u_h.vb[stack.edges]))
-        coeffs = np.einsum("ctqa,ctq->cta", chi, w * g)
+        # || Qb(u_hb - u_h0) ||^2 = || u_hb - Qb(u_h0) ||^2, as u_hb is in
+        # P_{k-1}: a coefficient norm in the orthonormal edge basis.
+        coeffs = u_h.vb[stack.edges] - np.einsum(
+            "ctqa,ctq->cta", chi, w * np.einsum("ctqi,ci->ctq", vk, c0))
         t_jump = np.sum(coeffs * coeffs, axis=(1, 2)) / h_t**3
 
-        grad_v0 = grad_e - np.stack([np.einsum("ctqi,ci->ctq", gkx, c0),
-                                     np.einsum("ctqi,ci->ctq", gky, c0)], axis=-1)
-        vn = np.einsum("ctqa,cta->ctq", chi, u_h.vn[stack.edges])
-        flux = (np.einsum("ctqd,ctd->ctq", grad_v0, n_out)
-                - stack.sigma[..., None] * (np.einsum("ctqd,ctd->ctq", grad_e, n_e) - vn))
+        grad_n = gkx * n_out[..., 0, None, None] + gky * n_out[..., 1, None, None]
+        flux = (stack.sigma[..., None] * np.einsum("ctqa,cta->ctq", chi, u_h.vn[stack.edges])
+                - np.einsum("ctqi,ci->ctq", grad_n, c0))
         t_flux = np.sum(w * flux * flux, axis=(1, 2)) / h_t
         total += float(np.sum(t_lap + t_jump + t_flux))
     return math.sqrt(max(total, 0.0))

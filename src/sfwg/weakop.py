@@ -26,6 +26,7 @@ from .basis import (
     SingularCellError,
     dim_pk,
     from_legendre,
+    legendre_laplacian,
     legendre_table,
     legendre_values,
     orthonormal_factor,
@@ -124,20 +125,12 @@ def _stack_operator(mesh, stack, k, j):
     centroid = mesh.cell_centroid[cells]
     diam = mesh.cell_diameter[cells]
     rule = quad_cell(stack.polygons, cell_rule_degree(j))
-    vj = legendre_values(rule.points, centroid, diam, j)
-    r, ok = orthonormal_factor(vj, rule.weights)
+    r, ok = orthonormal_factor(legendre_values(rule.points, centroid, diam, j), rule.weights)
     if not ok.all():
         raise SingularCellError(
             f"P_{j} basis of cell {cells[~ok][0]} is rank deficient under its quadrature rule"
         )
-    basis_k = CellBasis(k, centroid, diam)
-
-    # Moments against the Legendre products of degree j, mapped to the
-    # orthonormal basis psi by R^-T at the end.  The weighted table takes
-    # the place of the table, the largest array here.
-    wvj = np.multiply(rule.weights[..., None], vj, out=vj)
-    # (lap phi_i, psi_m)_T
-    r_v0 = wvj.swapaxes(-1, -2) @ basis_k.laplacians(rule.points)
+    dk = dim_pk(k)
 
     sigma = stack.sigma
     p0 = mesh.vertices[mesh.edges[stack.edges, 0]]
@@ -147,29 +140,36 @@ def _stack_operator(mesh, stack, k, j):
     n_out = sigma[..., None] * mesh.edge_normal[stack.edges]  # (nc, nv, 2)
     nx, ny = n_out[..., 0, None, None], n_out[..., 1, None, None]
 
-    # Per-cell tables at the cell's edge points, regrouped per edge.
+    # Per-cell tables at the cell's edge points, regrouped per edge.  The
+    # products of degree k, which span v0, are the leading dk of degree j.
     epts = erule.points.reshape(nc, -1, 2)
     shape = erule.points.shape[:-1]
-    vj_e, gjx, gjy, _ = (t.reshape(shape + (-1,))
-                         for t in legendre_table(epts, centroid, diam, j))
-    vk_e, gkx, gky, _ = (t.reshape(shape + (-1,)) for t in basis_k.tables(epts))
+    vj_e, gjx, gjy = (t.reshape(shape + (-1,))
+                      for t in legendre_table(epts, centroid, diam, j))
     gpsi_n = gjx * nx + gjy * ny                         # grad psi . n
-    gphi_n = gkx * nx + gky * ny                         # grad phi . n
 
+    # Moments against the Legendre products of degree j, mapped to the
+    # orthonormal basis psi by R^-T at the end.
     wchi = (erule.weights[..., None] * chi).swapaxes(-1, -2)
     b_e = wchi @ gpsi_n                                  # <chi, grad psi.n>
     c_e = wchi @ vj_e                                    # <chi, psi>
-    p_e = wchi @ vk_e                                    # Qb coefficients of phi
-    g_e = (erule.weights[..., None] * gphi_n).swapaxes(-1, -2) @ vj_e  # <grad phi.n, psi>
+    # <grad phi.n, psi>
+    g_e = (erule.weights[..., None] * gpsi_n[..., :dk]).swapaxes(-1, -2) @ vj_e
 
-    # v0 columns: + <Qb(phi), grad psi.n> - <grad phi.n, psi>
-    r_v0 += (b_e.swapaxes(-1, -2) @ p_e - g_e.swapaxes(-1, -2)).sum(axis=1)
+    # v0 columns: + <Qb(phi), grad psi.n> - <grad phi.n, psi>, where the Qb
+    # coefficients of phi, <chi, phi>, lead those of psi
+    r_v0 = (b_e.swapaxes(-1, -2) @ c_e[..., :dk] - g_e.swapaxes(-1, -2)).sum(axis=1)
     # per edge, v_b columns: - <chi, grad psi.n>; v_n columns: + sigma <chi, psi>
     edge_cols = np.concatenate([-b_e, sigma[..., None, None] * c_e], axis=-2)
     rhs = np.concatenate(
         [r_v0, edge_cols.transpose(0, 3, 1, 2).reshape(nc, r_v0.shape[1], -1)], axis=-1
     )
-    return StackOperator(stack, from_legendre(r, rhs), OrthonormalCellBasis(j, centroid, diam, r))
+    matrix = from_legendre(r, rhs)
+    # v0 columns: + (lap phi, psi)_T.  lap phi_i has Legendre coefficients
+    # legendre_laplacian(k)[:, i] / h^2, and a P_j polynomial with Legendre
+    # coefficients c has coefficients R c in psi, as psi = V R^-1.
+    matrix[..., :dk] += r[..., :dk] @ legendre_laplacian(k) / (0.25 * diam**2)[:, None, None]
+    return StackOperator(stack, matrix, OrthonormalCellBasis(j, centroid, diam, r))
 
 
 def apply_weak_laplacian(op: StackOperator, dofs) -> np.ndarray:

@@ -10,10 +10,10 @@ from sfwg.errors import (
     norm_2h,
     triple_bar_norm,
 )
-from sfwg.mesh import build_triangular
+from sfwg.mesh import build_polygonal, build_triangular
 from sfwg.solutions import builtin_solution
 from sfwg.system import solve_biharmonic
-from sfwg.weakop import WeakFunction, interpolate_qh
+from sfwg.weakop import WeakFunction, element_operators, interpolate_qh
 
 
 def zero_weak(mesh, k):
@@ -123,6 +123,17 @@ def test_norm_2h_zero_only_at_zero():
     assert norm_2h(z, mesh, 2) > 0.0
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("build", [build_triangular, build_polygonal])
+def test_norm_2h_vanishes_on_linear_interpolants(build, k):
+    # For linear u, Q_h u has lap v0 = 0, Qb(v0 - v_b) = 0 and
+    # (grad v0 - v_n n_e) . n = 0: every term of ||.||_{2,h} is zero.
+    mesh = build(4)
+    q = interpolate_qh(lambda p: 0.3 + 2.0 * p[:, 0] - 1.5 * p[:, 1],
+                       lambda p: np.tile([2.0, -1.5], (len(p), 1)), mesh, k)
+    assert norm_2h(q, mesh, k) < 1e-9
+
+
 def test_exact_interpolant_has_small_triple_error():
     # Q_h u is near-optimal in the energy norm: the triple-bar error of
     # the interpolant decays at the same rate as the solver's.
@@ -133,6 +144,17 @@ def test_exact_interpolant_has_small_triple_error():
         q = interpolate_qh(ex.u, ex.grad, mesh, 2)
         errs.append(error_triple(ex, q, mesh, 2, 4))
     assert errs[1] < 0.6 * errs[0]
+
+
+@pytest.mark.parametrize("j", [3, 4, 6])
+def test_error_triple_takes_the_degree_of_its_operators(j):
+    # Given operators, their own P_j degree counts, not the j argument.
+    mesh = build_triangular(4)
+    ex = builtin_solution(1)
+    q = interpolate_qh(ex.u, ex.grad, mesh, 2)
+    want = error_triple(ex, q, mesh, 2, 5)
+    assert want != error_triple(ex, q, mesh, 2, 4)
+    assert error_triple(ex, q, mesh, 2, j, ops=element_operators(mesh, 2, 5)) == want
 
 
 def test_error_pipeline_small_solve():

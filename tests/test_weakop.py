@@ -131,7 +131,7 @@ def test_single_vb_column_against_independent_quadrature():
     # edge and cell rules of our own.
     n_out = sigma * mesh.edge_normal[e]
     erule = quad_edge(p0, p1, 2 * j)
-    _, gx, gy, _ = (t[0] for t in op.basis_j.tables(erule.points))
+    _, gx, gy = (t[0] for t in op.basis_j.tables(erule.points))
     rhs = -((gx * n_out[0] + gy * n_out[1]).T @ erule.weights)
 
     crule = quad_cell(mesh.cell_polygon(cell), 2 * j)
