@@ -1,13 +1,13 @@
-"""Polynomial bases on cells and edges, and L2 projections.
+"""Polynomial bases on cells and edges, and the edge L2 projection.
 
 Cell polynomials are products of Legendre polynomials P_a(x') P_b(y'),
 a + b <= m, in the coordinates (x', y') = (x - c) / (d / 2) of a cell with
 centroid c and diameter d, which keep the cell near [-1, 1]^2.  In the graded
 order of ``monomial_exponents`` the products of degree <= k lead those of
-degree j > k, so the P_k basis of v0 (``CellBasis``) is the leading part of
-the P_j products that ``OrthonormalCellBasis`` orthonormalizes per cell.
-Edge bases are Legendre polynomials in arclength, orthonormal with respect
-to the edge line integral.
+degree j > k, so the P_k basis of v0 is the leading part of the P_j
+products V, which the weak Laplacian orthonormalizes per cell as V R^-1
+(``orthonormal_factor``, ``from_legendre``).  Edge bases are Legendre
+polynomials in arclength, orthonormal with respect to the edge line integral.
 """
 
 import functools
@@ -15,7 +15,7 @@ import functools
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .quadrature import at_points, quad_cell, quad_edge
+from .quadrature import quad_edge
 
 
 class SingularCellError(RuntimeError):
@@ -60,7 +60,9 @@ def legendre_values(pts, centroid, diameter, degree):
     """Values of the Legendre products of ``legendre_table`` only."""
     _, px, py = _scaled_legendre(pts, centroid, diameter, degree)
     ea, eb = monomial_exponents(degree)
-    return px[..., ea] * py[..., eb]
+    vals = px[..., ea]
+    vals *= py[..., eb]
+    return vals
 
 
 def legendre_table(pts, centroid, diameter, degree):
@@ -76,8 +78,15 @@ def legendre_table(pts, centroid, diameter, degree):
     h, px, py = _scaled_legendre(pts, centroid, diameter, degree)
     dpx, dpy = _legendre_derivative(px), _legendre_derivative(py)
     ea, eb = monomial_exponents(degree)
-    return (px[..., ea] * py[..., eb], dpx[..., ea] * py[..., eb] / h,
-            px[..., ea] * dpy[..., eb] / h)
+    # Each product is formed in its left factor's gathered copy, so a table
+    # takes one temporary of its size, not two.
+    vals, gx, gy = px[..., ea], dpx[..., ea], px[..., ea]
+    vals *= py[..., eb]
+    gx *= py[..., eb]
+    gx /= h
+    gy *= dpy[..., eb]
+    gy /= h
+    return vals, gx, gy
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,65 +103,6 @@ def legendre_laplacian(degree):
     ea, eb = monomial_exponents(degree)
     return (dd[ea[:, None], ea] * (eb[:, None] == eb)
             + (ea[:, None] == ea) * dd[eb[:, None], eb])
-
-
-class CellBasis:
-    """Basis of P_m on a cell with given centroid and diameter: the Legendre
-    products of ``legendre_table``.
-
-    A stack of cells (centroids (..., 2), diameters (...)) is one basis per
-    cell, evaluated at per-cell points (..., npts, 2).
-    """
-
-    def __init__(self, degree: int, centroid, diameter):
-        self.degree = degree
-        self.centroid = np.asarray(centroid, dtype=float)
-        self.diameter = np.asarray(diameter, dtype=float)
-        self.dim = dim_pk(degree)
-
-    def tables(self, pts):
-        """(values, d/dx, d/dy) tables, each (..., npts, dim)."""
-        return legendre_table(pts, self.centroid, self.diameter, self.degree)
-
-    def values(self, pts):
-        return legendre_values(pts, self.centroid, self.diameter, self.degree)
-
-    def gradients(self, pts):
-        return np.stack(self.tables(pts)[1:], axis=-1)
-
-    def laplacians(self, pts):
-        h2 = 0.25 * self.diameter[..., None, None] ** 2
-        return (legendre_values(pts, self.centroid, self.diameter, self.degree)
-                @ legendre_laplacian(self.degree) / h2)
-
-
-class OrthonormalCellBasis(CellBasis):
-    """Basis of P_m on a cell that is orthonormal under a cell quadrature rule.
-
-    The Legendre products V of ``legendre_table`` are orthonormalized by a
-    Householder QR of their sqrt(w)-weighted value table, sqrt(w) V = Q R
-    (see ``orthonormal_factor``): basis function i is sum_m V_m (R^-1)_mi.
-    The Gram matrix of V is never formed, so its conditioning (about 1e7 at
-    degree 5 on a triangle) enters only through R, as its square root.  Like
-    CellBasis it may be a stack, with R (..., dim, dim).
-    """
-
-    def __init__(self, degree: int, centroid, diameter, r):
-        super().__init__(degree, centroid, diameter)
-        self.r = r
-
-    def tables(self, pts):
-        return tuple(self._from_legendre(t) for t in super().tables(pts))
-
-    def values(self, pts):
-        return self._from_legendre(super().values(pts))
-
-    def laplacians(self, pts):
-        return self._from_legendre(super().laplacians(pts))
-
-    def _from_legendre(self, table):
-        """A table of the Legendre products mapped to this basis, table R^-1."""
-        return from_legendre(self.r, table.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def from_legendre(r, moments):
@@ -206,23 +156,6 @@ class EdgeBasis:
         """Basis values at arclength positions ``s`` in [0, L]."""
         t = 2.0 * np.asarray(s, dtype=float) / self.length[..., None] - 1.0
         return legvander(t, self.degree) * self._scale[..., None, :]
-
-
-def project_cell(f, polygon, basis: CellBasis, rule=None):
-    """Coefficients of the L2(T) projection of ``f`` onto the cell basis.
-
-    ``f`` maps an (npts, 2) array of points to values.  A stack of polygons
-    (..., nv, 2) with a stacked basis gives coefficients (..., dim).
-    """
-    if rule is None:
-        rule = quad_cell(polygon, 2 * basis.degree + 2)
-    vt = basis.values(rule.points).swapaxes(-1, -2)
-    r = vt @ (rule.weights * at_points(f, rule.points))[..., None]
-    m = vt @ (rule.weights[..., None] * vt.swapaxes(-1, -2))
-    try:
-        return np.linalg.solve(m, r)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularCellError(f"singular cell mass matrix: {exc}") from exc
 
 
 def project_edge(g, ebasis: EdgeBasis, rule=None):

@@ -15,14 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import CellBasis, EdgeBasis, from_legendre, legendre_values
+from .basis import from_legendre, legendre_laplacian
 from .mesh import cell_stacks
-from .quadrature import at_points, quad_cell, quad_edge
+from .quadrature import at_points
 from .weakop import (
     WeakFunction,
     apply_weak_laplacian,
     cell_rule_degree,
+    cell_tables,
     edge_rule_degree,
+    edge_tables,
     element_operators,
     local_dofs,
 )
@@ -47,25 +49,13 @@ class ConvergenceReport:
     metadata: dict = field(default_factory=dict)
 
     def add_row(self, n, h, errors):
-        rates = [None, None, None]
-        if self.rows:
-            prev = self.rows[-1]
-            hs = [prev["h"], h]
-            for i, key in enumerate(("err_triple", "err_2h", "err_l2")):
-                r = convergence_rates([prev[key], errors[i]], hs)
-                rates[i] = r[0]
-        self.rows.append(
-            {
-                "n": n,
-                "h": h,
-                "err_triple": errors[0],
-                "rate_triple": rates[0],
-                "err_2h": errors[1],
-                "rate_2h": rates[1],
-                "err_l2": errors[2],
-                "rate_l2": rates[2],
-            }
-        )
+        prev = self.rows[-1] if self.rows else None
+        row = {"n": n, "h": h}
+        for key, err in zip(("triple", "2h", "l2"), errors):
+            row[f"err_{key}"] = err
+            row[f"rate_{key}"] = None if prev is None else convergence_rates(
+                [prev[f"err_{key}"], err], [prev["h"], h])[0]
+        self.rows.append(row)
 
 
 def _zeros(p):
@@ -94,9 +84,9 @@ def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops=None):
     """Energy-norm error via the projected-Laplacian identity.
 
     ``ops`` is the list from ``element_operators(mesh, k, j)``, built here
-    when not given; given, each operator's own P_j degree is used and ``j``
-    is not read.  Pi_j lap u is taken in each operator's ``basis_j``, which
-    is orthonormal, so its coefficients are the moments of lap u, formed
+    when not given; given, each operator's own P_j degree ``op.j`` is used
+    and ``j`` is not read.  Pi_j lap u is taken in the operator's
+    orthonormal basis, so its coefficients are the moments of lap u, formed
     against the Legendre products and mapped by R^-T.
     """
     if ops is None:
@@ -104,12 +94,10 @@ def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops=None):
     flat = u_h.flat()
     total = 0.0
     for op in ops:
-        basis = op.basis_j
-        rule = quad_cell(op.stack.polygons, cell_rule_degree(basis.degree))
-        vals = legendre_values(rule.points, basis.centroid, basis.diameter, basis.degree)
+        rule, vals = cell_tables(op.stack, op.j, cell_rule_degree(op.j))
         moments = vals.swapaxes(-1, -2) @ (
             rule.weights * at_points(exact.laplacian, rule.points))[..., None]
-        diff = (from_legendre(basis.r, moments)[..., 0]
+        diff = (from_legendre(op.r, moments)[..., 0]
                 - apply_weak_laplacian(op, flat[local_dofs(mesh, op.stack, k)]))
         total += float(np.sum(diff * diff))
     return math.sqrt(total)
@@ -132,25 +120,15 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
     """
     total = 0.0
     for stack in cell_stacks(mesh):
-        cells = stack.cells
-        basis = CellBasis(k, mesh.cell_centroid[cells], mesh.cell_diameter[cells])
-        c0 = u_h.v0[cells]
-        h_t = mesh.cell_diameter[cells]
-        rule = quad_cell(stack.polygons, cell_rule_degree(k + 2))
+        c0 = u_h.v0[stack.cells]
+        h_t = stack.diameter
+        rule, vals = cell_tables(stack, k, cell_rule_degree(k + 2))
         lap = at_points(exact.laplacian, rule.points) - np.einsum(
-            "cqi,ci->cq", basis.laplacians(rule.points), c0)
+            "cqi,ci->cq", vals @ legendre_laplacian(k) / (0.25 * h_t[:, None, None] ** 2), c0)
         t_lap = np.sum(rule.weights * lap * lap, axis=-1)
 
-        p0 = mesh.vertices[mesh.edges[stack.edges, 0]]
-        p1 = mesh.vertices[mesh.edges[stack.edges, 1]]
-        erule = quad_edge(p0, p1, edge_rule_degree(k, k + 2))  # points (nc, nv, q, 2)
+        erule, chi, vk, grad_n = edge_tables(stack, k, k, edge_rule_degree(k, k + 2))
         w = erule.weights
-        chi = EdgeBasis(k - 1, p0, p1).values(erule.params)    # (nc, nv, q, k)
-        shape = erule.points.shape[:-1] + (-1,)
-        vk, gkx, gky = (
-            t.reshape(shape) for t in basis.tables(erule.points.reshape(len(cells), -1, 2))
-        )
-        n_out = stack.sigma[..., None] * mesh.edge_normal[stack.edges]
 
         # || Qb(u_hb - u_h0) ||^2 = || u_hb - Qb(u_h0) ||^2, as u_hb is in
         # P_{k-1}: a coefficient norm in the orthonormal edge basis.
@@ -158,7 +136,6 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
             "ctqa,ctq->cta", chi, w * np.einsum("ctqi,ci->ctq", vk, c0))
         t_jump = np.sum(coeffs * coeffs, axis=(1, 2)) / h_t**3
 
-        grad_n = gkx * n_out[..., 0, None, None] + gky * n_out[..., 1, None, None]
         flux = (stack.sigma[..., None] * np.einsum("ctqa,cta->ctq", chi, u_h.vn[stack.edges])
                 - np.einsum("ctqi,ci->ctq", grad_n, c0))
         t_flux = np.sum(w * flux * flux, axis=(1, 2)) / h_t
@@ -176,10 +153,8 @@ def error_l2(exact: ExactSolution, u_h: WeakFunction, mesh):
     k = u_h.k
     total = 0.0
     for stack in cell_stacks(mesh):
-        cells = stack.cells
-        basis = CellBasis(k, mesh.cell_centroid[cells], mesh.cell_diameter[cells])
-        rule = quad_cell(stack.polygons, cell_rule_degree(k + 2))
+        rule, vals = cell_tables(stack, k, cell_rule_degree(k + 2))
         diff = at_points(exact.u, rule.points) - np.einsum(
-            "cqi,ci->cq", basis.values(rule.points), u_h.v0[cells])
+            "cqi,ci->cq", vals, u_h.v0[stack.cells])
         total += float(np.sum(rule.weights * diff * diff))
     return math.sqrt(max(total, 0.0))

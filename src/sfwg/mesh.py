@@ -8,7 +8,7 @@ equal vertex counts.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,13 +37,19 @@ class MeshGenerationError(MeshError):
 class CellStack:
     """The cells of a mesh that have one vertex count, as stacked arrays.
 
-    Local edge t of a cell runs from its vertex t to vertex t+1.
+    Local edge t of a cell runs from its vertex t to vertex t+1; ``p0`` ->
+    ``p1`` is its lo -> hi direction, that of its arclength and normal n_e.
     """
 
     cells: np.ndarray     # (nc,) cell indices, increasing
     polygons: np.ndarray  # (nc, nv, 2) CCW vertex coordinates
     edges: np.ndarray     # (nc, nv) global index of each local edge
     sigma: np.ndarray     # (nc, nv) n_e . n_outward, as float
+    centroid: np.ndarray  # (nc, 2)
+    diameter: np.ndarray  # (nc,)
+    p0: np.ndarray        # (nc, nv, 2) lower-index endpoint of each local edge
+    p1: np.ndarray        # (nc, nv, 2) higher-index endpoint
+    normal: np.ndarray    # (nc, nv, 2) outward unit normal sigma * n_e
 
 
 @dataclass
@@ -92,7 +98,7 @@ def cell_stacks(mesh: Mesh, cells=None) -> list:
     if cells is None:
         return mesh.stacks
     keep = [np.isin(s.cells, cells) for s in mesh.stacks]
-    return [CellStack(s.cells[m], s.polygons[m], s.edges[m], s.sigma[m])
+    return [CellStack(*(getattr(s, f.name)[m] for f in fields(CellStack)))
             for s, m in zip(mesh.stacks, keep) if m.any()]
 
 
@@ -222,6 +228,7 @@ def _build(vertices, cells, diameter=None):
         diameters[sel] = np.sqrt((gap * gap).sum(axis=-1).max(axis=(1, 2)))
     if diameter is not None:
         diameters[:] = diameter
+    outward = sigma[:, None] * normals[half_edge]
     return Mesh(
         vertices=vertices,
         cells=np.split(flat, first[1:]),
@@ -229,7 +236,8 @@ def _build(vertices, cells, diameter=None):
         edge_normal=normals,
         edge_boundary=edge_cells[:, 1] < 0,
         edge_cells=edge_cells,
-        stacks=[CellStack(sel, poly, half_edge[half], sigma[half])
+        stacks=[CellStack(sel, poly, half_edge[half], sigma[half], centroids[sel],
+                          diameters[sel], vertices[lo[half]], vertices[hi[half]], outward[half])
                 for sel, half, poly in groups],
         cell_area=area,
         cell_centroid=centroids,

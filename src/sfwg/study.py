@@ -25,8 +25,7 @@ def default_j(k: int, family: str) -> int:
 
 @dataclass
 class StudyConfig:
-    example: int = 1                 # built-in solution id, or use ``solution``
-    solution: object = None          # an ExactSolution overriding ``example``
+    example: int = 1                 # built-in solution id
     family: str = "triangular"
     mesh_files: list = field(default_factory=list)
     k: int = 2
@@ -40,7 +39,7 @@ class StudyConfig:
         return self.j if self.j is not None else default_j(self.k, self.family)
 
     def validate(self):
-        if self.solution is None and self.example not in (1, 2):
+        if self.example not in (1, 2):
             raise ConfigError(f"example must be 1 or 2, got {self.example}")
         if self.family not in FAMILIES:
             raise ConfigError(f"mesh family must be one of {FAMILIES}")
@@ -89,7 +88,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     error message recorded in the metadata.
     """
     config.validate()
-    exact = config.solution if config.solution is not None else builtin_solution(config.example)
+    exact = builtin_solution(config.example)
     k, j = config.k, config.effective_j()
 
     report = ConvergenceReport(

@@ -14,11 +14,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import CellBasis, dim_pk
-from .quadrature import at_points, quad_cell
+from .basis import dim_pk
+from .quadrature import at_points
 from .weakop import (
     WeakFunction,
     cell_rule_degree,
+    cell_tables,
     element_operators,
     local_dofs,
     project_edge_data,
@@ -103,12 +104,8 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
         vals.append(ke[pair])
 
         # Load (f, phi_i)_T on the v0 block, less the constrained columns.
-        rule = quad_cell(stack.polygons, cell_rule_degree(j))
-        basis_k = CellBasis(k, mesh.cell_centroid[stack.cells],
-                            mesh.cell_diameter[stack.cells])
         rhs = -(ke @ constrained[loc][..., None])[..., 0]
-        rhs[:, :basis_k.dim] += np.einsum("cqi,cq->ci", basis_k.values(rule.points),
-                                          rule.weights * at_points(f, rule.points))
+        rhs[:, :dim_pk(k)] += _load(stack, k, j, f)
         np.add.at(b, idx[free], rhs[free])
 
     A = sp.coo_matrix(
@@ -116,6 +113,13 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
         shape=(n, n),
     ).tocsr()
     return LinearSystem(A=A, b=b)
+
+
+def _load(stack, k, j, f):
+    """(f, phi_i)_T for the P_k basis of v0 on each cell of a stack, (nc, dim P_k);
+    its tables are freed on return, before assembly converts the triplets."""
+    rule, vals = cell_tables(stack, k, cell_rule_degree(j))
+    return np.einsum("cqi,cq->ci", vals, rule.weights * at_points(f, rule.points))
 
 
 def backward_error(system: LinearSystem, x) -> float:

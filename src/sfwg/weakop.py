@@ -1,4 +1,5 @@
-"""Element-local discrete weak Laplacian and the weak-function interpolant.
+"""Element-local discrete weak Laplacian, the weak-function interpolant,
+and the stack tables that every cell and edge integral is formed from.
 
 A weak function is the triple {v0, v_b, v_n n_e}: a P_k polynomial per
 cell, and P_{k-1} polynomials per edge for the trace and for the normal
@@ -13,6 +14,9 @@ integration by parts against test polynomials psi:
 with n the outward normal of T.  Since v_b is already in P_{k-1}(e),
 Qb(v0 - v_b) = Qb(v0) - v_b, and (v_n n_e) . n = sigma v_n with
 sigma = n_e . n, which is how the edge columns below get their signs.
+
+``cell_tables`` and ``edge_tables`` alone build a CellStack's rules and
+the tables at their points, from the geometry that the stack carries.
 """
 
 from dataclasses import dataclass
@@ -20,9 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    CellBasis,
     EdgeBasis,
-    OrthonormalCellBasis,
     SingularCellError,
     dim_pk,
     from_legendre,
@@ -30,7 +32,6 @@ from .basis import (
     legendre_table,
     legendre_values,
     orthonormal_factor,
-    project_cell,
     project_edge,
 )
 from .mesh import CellStack, cell_stacks
@@ -43,6 +44,32 @@ def cell_rule_degree(j: int) -> int:
 
 def edge_rule_degree(k: int, j: int) -> int:
     return k + j
+
+
+def cell_tables(stack: CellStack, degree: int, rule_degree: int):
+    """The cell rule of a stack, exact to ``rule_degree``, and the Legendre
+    products of ``degree`` at its points, (nc, q, dim P_degree)."""
+    rule = quad_cell(stack.polygons, rule_degree)
+    return rule, legendre_values(rule.points, stack.centroid, stack.diameter, degree)
+
+
+def edge_tables(stack: CellStack, k: int, degree: int, rule_degree: int):
+    """Tables on the edges of a stack's cells, regrouped per local edge.
+
+    Returns the edge rule exact to ``rule_degree`` (points (nc, nv, q, 2)),
+    the orthonormal P_{k-1}(e) basis chi (nc, nv, q, k), and the cell's
+    Legendre products of ``degree`` and their outward normal derivatives,
+    each (nc, nv, q, dim P_degree).
+    """
+    erule = quad_edge(stack.p0, stack.p1, rule_degree)
+    chi = EdgeBasis(k - 1, stack.p0, stack.p1).values(erule.params)
+    shape = erule.points.shape[:-1] + (-1,)
+    vals, gx, gy = (t.reshape(shape) for t in legendre_table(
+        erule.points.reshape(len(stack.cells), -1, 2), stack.centroid, stack.diameter, degree))
+    gx *= stack.normal[..., 0, None, None]
+    gy *= stack.normal[..., 1, None, None]
+    gx += gy
+    return erule, chi, vals, gx
 
 
 @dataclass
@@ -87,14 +114,16 @@ class StackOperator:
     """Matrix form of the weak Laplacian on every cell of one CellStack.
 
     ``matrix`` (nc, dim P_j, nloc) maps each cell's local DOF vector (in the
-    order of ``local_dofs``) to P_j(T) coefficients in ``basis_j``, the
-    stacked basis that is orthonormal under the cell rule and carries the
-    QR factor ``r``.  The local stiffness block is matrix^T matrix.
+    order of ``local_dofs``) to P_j(T) coefficients in psi = V R^-1, the
+    basis orthonormal under the cell rule: V are the Legendre products of
+    degree ``j`` and ``r`` their QR factor from ``orthonormal_factor``.
+    The local stiffness block is matrix^T matrix.
     """
 
     stack: CellStack
     matrix: np.ndarray
-    basis_j: OrthonormalCellBasis
+    j: int
+    r: np.ndarray
 
 
 def element_operators(mesh, k: int, j: int) -> list:
@@ -104,15 +133,15 @@ def element_operators(mesh, k: int, j: int) -> list:
     Assembly and the |||.||| functionals take this list, so a solve and its
     error evaluation build each operator once.
     """
-    return [_stack_operator(mesh, stack, k, j) for stack in cell_stacks(mesh)]
+    return [_stack_operator(stack, k, j) for stack in cell_stacks(mesh)]
 
 
 def element_weak_laplacian(mesh, cell: int, k: int, j: int) -> StackOperator:
     """The operator of one cell, as a one-cell stack."""
-    return _stack_operator(mesh, cell_stacks(mesh, [cell])[0], k, j)
+    return _stack_operator(cell_stacks(mesh, [cell])[0], k, j)
 
 
-def _stack_operator(mesh, stack, k, j):
+def _stack_operator(stack, k, j):
     """Operator of the cells of one CellStack.
 
     Every array below carries the cell as its leading axis; edge arrays
@@ -120,33 +149,17 @@ def _stack_operator(mesh, stack, k, j):
     """
     if j <= k:
         raise ValueError(f"lifting degree j={j} must exceed k={k}")
-    cells = stack.cells
-    nc = len(cells)
-    centroid = mesh.cell_centroid[cells]
-    diam = mesh.cell_diameter[cells]
-    rule = quad_cell(stack.polygons, cell_rule_degree(j))
-    r, ok = orthonormal_factor(legendre_values(rule.points, centroid, diam, j), rule.weights)
+    nc = len(stack.cells)
+    rule, vals = cell_tables(stack, j, cell_rule_degree(j))
+    r, ok = orthonormal_factor(vals, rule.weights)
+    del rule, vals  # the largest table: not held through the edge terms
     if not ok.all():
         raise SingularCellError(
-            f"P_{j} basis of cell {cells[~ok][0]} is rank deficient under its quadrature rule"
+            f"P_{j} basis of cell {stack.cells[~ok][0]} is rank deficient under its quadrature rule"
         )
     dk = dim_pk(k)
-
-    sigma = stack.sigma
-    p0 = mesh.vertices[mesh.edges[stack.edges, 0]]
-    p1 = mesh.vertices[mesh.edges[stack.edges, 1]]
-    erule = quad_edge(p0, p1, edge_rule_degree(k, j))    # points (nc, nv, q, 2)
-    chi = EdgeBasis(k - 1, p0, p1).values(erule.params)  # (nc, nv, q, k)
-    n_out = sigma[..., None] * mesh.edge_normal[stack.edges]  # (nc, nv, 2)
-    nx, ny = n_out[..., 0, None, None], n_out[..., 1, None, None]
-
-    # Per-cell tables at the cell's edge points, regrouped per edge.  The
-    # products of degree k, which span v0, are the leading dk of degree j.
-    epts = erule.points.reshape(nc, -1, 2)
-    shape = erule.points.shape[:-1]
-    vj_e, gjx, gjy = (t.reshape(shape + (-1,))
-                      for t in legendre_table(epts, centroid, diam, j))
-    gpsi_n = gjx * nx + gjy * ny                         # grad psi . n
+    # The products of degree k, which span v0, are the leading dk of degree j.
+    erule, chi, vj_e, gpsi_n = edge_tables(stack, k, j, edge_rule_degree(k, j))
 
     # Moments against the Legendre products of degree j, mapped to the
     # orthonormal basis psi by R^-T at the end.
@@ -160,7 +173,7 @@ def _stack_operator(mesh, stack, k, j):
     # coefficients of phi, <chi, phi>, lead those of psi
     r_v0 = (b_e.swapaxes(-1, -2) @ c_e[..., :dk] - g_e.swapaxes(-1, -2)).sum(axis=1)
     # per edge, v_b columns: - <chi, grad psi.n>; v_n columns: + sigma <chi, psi>
-    edge_cols = np.concatenate([-b_e, sigma[..., None, None] * c_e], axis=-2)
+    edge_cols = np.concatenate([-b_e, stack.sigma[..., None, None] * c_e], axis=-2)
     rhs = np.concatenate(
         [r_v0, edge_cols.transpose(0, 3, 1, 2).reshape(nc, r_v0.shape[1], -1)], axis=-1
     )
@@ -168,8 +181,9 @@ def _stack_operator(mesh, stack, k, j):
     # v0 columns: + (lap phi, psi)_T.  lap phi_i has Legendre coefficients
     # legendre_laplacian(k)[:, i] / h^2, and a P_j polynomial with Legendre
     # coefficients c has coefficients R c in psi, as psi = V R^-1.
-    matrix[..., :dk] += r[..., :dk] @ legendre_laplacian(k) / (0.25 * diam**2)[:, None, None]
-    return StackOperator(stack, matrix, OrthonormalCellBasis(j, centroid, diam, r))
+    matrix[..., :dk] += (r[..., :dk] @ legendre_laplacian(k)
+                         / (0.25 * stack.diameter**2)[:, None, None])
+    return StackOperator(stack, matrix, j, r)
 
 
 def apply_weak_laplacian(op: StackOperator, dofs) -> np.ndarray:
@@ -207,8 +221,13 @@ def interpolate_qh(u, grad_u, mesh, k: int) -> WeakFunction:
     """
     v0 = np.empty((mesh.n_cells, dim_pk(k)))
     for stack in cell_stacks(mesh):
-        basis = CellBasis(k, mesh.cell_centroid[stack.cells], mesh.cell_diameter[stack.cells])
-        rule = quad_cell(stack.polygons, cell_rule_degree(k))
-        v0[stack.cells] = project_cell(u, stack.polygons, basis, rule=rule)
+        rule, vals = cell_tables(stack, k, cell_rule_degree(k))
+        vt = vals.swapaxes(-1, -2)
+        mass = vt @ (rule.weights[..., None] * vals)
+        moments = vt @ (rule.weights * at_points(u, rule.points))[..., None]
+        try:
+            v0[stack.cells] = np.linalg.solve(mass, moments)[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularCellError(f"singular cell mass matrix: {exc}") from exc
     vb, vn = project_edge_data(mesh, np.arange(mesh.n_edges), k, u, grad_u)
     return WeakFunction(k=k, v0=v0, vb=vb, vn=vn)

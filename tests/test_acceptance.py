@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sfwg.basis import CellBasis, dim_pk, monomial_exponents, project_cell
+from sfwg.basis import dim_pk, legendre_values, monomial_exponents
 from sfwg.cli import main
 from sfwg.errors import norm_2h
 from sfwg.mesh import build_polygonal, build_triangular
@@ -21,6 +21,7 @@ from sfwg.system import assemble, build_dof_map, solve_biharmonic, weak_function
 from sfwg.weakop import (
     apply_weak_laplacian,
     cell_rule_degree,
+    element_operators,
     element_weak_laplacian,
     interpolate_qh,
     local_dofs,
@@ -162,12 +163,19 @@ def test_criterion_5_operator_exactness():
                 cell_errs = []
                 den2 = 0.0
                 for cell, op in enumerate(ops):
-                    poly = mesh.cell_polygon(cell)
-                    rule = quad_cell(poly, cell_rule_degree(j))
-                    proj = project_cell(lap, poly, op.basis_j, rule=rule)
+                    # Pi_j lap u by weighted least squares in the Legendre
+                    # products V, mapped by R to the operator's orthonormal
+                    # basis psi = V R^-1.
+                    rule = quad_cell(mesh.cell_polygon(cell), cell_rule_degree(j))
+                    sw = np.sqrt(rule.weights)
+                    vals = legendre_values(rule.points, mesh.cell_centroid[cell],
+                                           mesh.cell_diameter[cell], j)
+                    coeffs = np.linalg.lstsq(sw[:, None] * vals, sw * lap(rule.points),
+                                             rcond=None)[0]
+                    proj = op.r[0] @ coeffs
                     diff = proj - apply_weak_laplacian(
-                        op, v.flat()[local_dofs(mesh, op.stack, k)])
-                    # op.basis_j is orthonormal: coefficient norms are L2(T) norms
+                        op, v.flat()[local_dofs(mesh, op.stack, k)])[0]
+                    # psi is orthonormal: coefficient norms are L2(T) norms
                     cell_errs.append(float(np.linalg.norm(diff)))
                     den2 += float(np.sum(proj * proj))
                 # per-cell error relative to the field scale; a purely local
@@ -194,9 +202,10 @@ def test_criterion_6_patch_reproduction():
         q = interpolate_qh(u, grad, mesh, 2)
         err2 = 0.0
         for cell in range(mesh.n_cells):
-            basis = CellBasis(2, mesh.cell_centroid[cell], mesh.cell_diameter[cell])
             rule = quad_cell(mesh.cell_polygon(cell), 6)
-            d = basis.values(rule.points) @ (uh.v0[cell] - q.v0[cell])
+            vals = legendre_values(rule.points, mesh.cell_centroid[cell],
+                                   mesh.cell_diameter[cell], 2)
+            d = vals @ (uh.v0[cell] - q.v0[cell])
             err2 += float(rule.weights @ d**2)
         worst = max(worst, math.sqrt(err2))
     ok = worst <= 1e-8
@@ -221,18 +230,28 @@ def test_criterion_7_spd(study_tri_k2, study_tri_k3, study_poly_k2, study_poly_k
 
 
 def test_criterion_8_norm_equivalence():
+    # Random weak functions, drawn in L2-orthonormal bases on cells and
+    # edges, so that the intervals do not depend on how v0 is represented:
+    # v0 = R_k^-1 c on each cell, with R_k the leading dim P_k block of the
+    # operator's QR factor, has L2(T) norm |c|.
     rng = np.random.default_rng(77)
     k = 2
+    dk = dim_pk(k)
     intervals = []
     for n in (4, 8):
         mesh = build_triangular(n)
         dm = build_dof_map(mesh, k)
-        system = assemble(mesh, k, k + 2, lambda p: np.zeros(len(p)), dm)
+        ops = element_operators(mesh, k, k + 2)
+        system = assemble(mesh, k, k + 2, lambda p: np.zeros(len(p)), dm, ops=ops)
+        free = dm.pos >= 0
         ratios = []
         for _ in range(100):
-            x = rng.standard_normal(dm.n_free)
+            v = weak_function_from_free(dm, rng.standard_normal(dm.n_free))
+            for op in ops:
+                c = v.v0[op.stack.cells]
+                v.v0[op.stack.cells] = np.linalg.solve(op.r[:, :dk, :dk], c[..., None])[..., 0]
+            x = v.flat()[free]
             energy = math.sqrt(max(float(x @ (system.A @ x)), 0.0))
-            v = weak_function_from_free(dm, x)
             ratios.append(energy / norm_2h(v, mesh, k))
         intervals.append((min(ratios), max(ratios)))
     (lo4, hi4), (lo8, hi8) = intervals

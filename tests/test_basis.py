@@ -1,34 +1,26 @@
+import io
+
 import numpy as np
 import pytest
 
 from numpy.polynomial import Legendre
 
 from sfwg.basis import (
-    CellBasis,
     EdgeBasis,
-    OrthonormalCellBasis,
     dim_pk,
+    from_legendre,
     legendre_laplacian,
     legendre_table,
     legendre_values,
     monomial_exponents,
     orthonormal_factor,
-    project_cell,
     project_edge,
 )
-from sfwg.mesh import build_triangular
+from sfwg.mesh import build_triangular, load_mesh
 from sfwg.quadrature import quad_cell, quad_edge
+from sfwg.weakop import interpolate_qh
 
 TRI = np.array([[0.1, 0.2], [0.7, 0.15], [0.35, 0.9]])
-
-
-def tri_basis(degree):
-    rule = quad_cell(TRI, 1)
-    centroid = TRI.mean(axis=0)
-    diam = max(np.hypot(*(TRI[i] - TRI[j])) for i in range(3) for j in range(i))
-    return CellBasis(degree, centroid, diam)
-
-
 PENTAGON = np.array([[0.0, 0.0], [0.6, -0.1], [0.9, 0.4], [0.5, 0.8], [-0.1, 0.5]])
 
 
@@ -36,13 +28,25 @@ def diameter(polygon):
     return max(np.hypot(*(p - q)) for p in polygon for q in polygon)
 
 
-def orthonormal_basis(degree, polygon=TRI):
-    centroid = polygon.mean(axis=0)
-    diam = diameter(polygon)
+def tri_values(pts, degree):
+    """The Legendre products of ``degree`` on TRI at ``pts``."""
+    return legendre_values(pts, TRI.mean(axis=0), diameter(TRI), degree)
+
+
+def laplacians(pts, centroid, diam, degree):
+    """Laplacians of the Legendre products, as the error functionals form them."""
+    h = 0.5 * np.asarray(diam)[..., None, None]
+    return legendre_values(pts, centroid, diam, degree) @ legendre_laplacian(degree) / h**2
+
+
+def orthonormal_values(pts, degree, polygon=TRI):
+    """Values of the orthonormal basis psi = V R^-1 of the weak Laplacian,
+    with R from a degree-2m rule on ``polygon``."""
+    centroid, diam = polygon.mean(axis=0), diameter(polygon)
     rule = quad_cell(polygon, 2 * degree)
     r, ok = orthonormal_factor(legendre_values(rule.points, centroid, diam, degree), rule.weights)
     assert ok
-    return OrthonormalCellBasis(degree, centroid, diam, r)
+    return from_legendre(r, legendre_values(pts, centroid, diam, degree).T).T
 
 
 def test_monomial_exponents_graded_lex():
@@ -54,53 +58,50 @@ def test_monomial_exponents_graded_lex():
 
 def test_dim_pk():
     assert [dim_pk(m) for m in range(5)] == [1, 3, 6, 10, 15]
-    assert tri_basis(3).dim == 10
+    assert tri_values(TRI, 3).shape == (3, 10)
 
 
 def test_gradients_match_finite_differences():
-    basis = tri_basis(4)
     rng = np.random.default_rng(0)
     pts = TRI.mean(axis=0) + 0.1 * rng.standard_normal((20, 2))
-    g = basis.gradients(pts)
+    g = np.stack(legendre_table(pts, TRI.mean(axis=0), diameter(TRI), 4)[1:], axis=-1)
     eps = 1e-6
     for axis in range(2):
         dp = pts.copy()
         dm = pts.copy()
         dp[:, axis] += eps
         dm[:, axis] -= eps
-        fd = (basis.values(dp) - basis.values(dm)) / (2 * eps)
+        fd = (tri_values(dp, 4) - tri_values(dm, 4)) / (2 * eps)
         assert np.allclose(g[:, :, axis], fd, atol=1e-6)
 
 
 def test_laplacians_match_finite_differences():
-    basis = tri_basis(4)
     rng = np.random.default_rng(1)
     pts = TRI.mean(axis=0) + 0.1 * rng.standard_normal((10, 2))
-    v = basis.values(pts)
+    v = tri_values(pts, 4)
     lap_fd = -4.0 * v
     eps = 1e-4
     for dx, dy in [(eps, 0), (-eps, 0), (0, eps), (0, -eps)]:
-        lap_fd = lap_fd + basis.values(pts + [dx, dy])
+        lap_fd = lap_fd + tri_values(pts + [dx, dy], 4)
     lap_fd /= eps**2
-    assert np.allclose(basis.laplacians(pts), lap_fd, atol=1e-5)
+    assert np.allclose(laplacians(pts, TRI.mean(axis=0), diameter(TRI), 4), lap_fd, atol=1e-5)
 
 
 def test_first_basis_is_constant_one():
-    basis = tri_basis(2)
     pts = np.array([[0.3, 0.4], [0.5, 0.5]])
-    assert np.allclose(basis.values(pts)[:, 0], 1.0)
-    assert np.allclose(basis.gradients(pts)[:, 0, :], 0.0)
+    vals, gx, gy = legendre_table(pts, TRI.mean(axis=0), diameter(TRI), 2)
+    assert np.allclose(vals[:, 0], 1.0)
+    assert np.allclose(gx[:, 0], 0.0) and np.allclose(gy[:, 0], 0.0)
 
 
-def cell_gram(polygon, basis):
-    rule = quad_cell(polygon, 2 * basis.degree)
-    v = basis.values(rule.points)
+def cell_gram(polygon, centroid, diam, degree):
+    rule = quad_cell(polygon, 2 * degree)
+    v = legendre_values(rule.points, centroid, diam, degree)
     return v.T @ (rule.weights[:, None] * v)
 
 
 def test_p0_mass_matrix_is_area():
-    basis = tri_basis(0)
-    m = cell_gram(TRI, basis)
+    m = cell_gram(TRI, TRI.mean(axis=0), diameter(TRI), 0)
     area = quad_cell(TRI, 0).weights.sum()
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(area, rel=1e-14)
@@ -111,37 +112,55 @@ def test_cell_mass_condition_stable_under_refinement():
     conds = []
     for n in (4, 8, 16):
         mesh = build_triangular(n)
-        basis = CellBasis(4, mesh.cell_centroid[0], mesh.cell_diameter[0])
         poly = mesh.vertices[mesh.cells[0]]
-        conds.append(np.linalg.cond(cell_gram(poly, basis)))
+        conds.append(np.linalg.cond(cell_gram(poly, mesh.cell_centroid[0],
+                                              mesh.cell_diameter[0], 4)))
     assert max(conds) < 1e6
     assert max(conds) / min(conds) < 1.1
 
 
-def test_projection_reproduces_polynomials():
-    basis = tri_basis(3)
+def one_cell_mesh(polygon):
+    text = (f"polymesh 1\nvertices {len(polygon)}\n"
+            + "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in polygon)
+            + "cells 1\n" + " ".join(map(str, range(len(polygon)))) + "\n")
+    return load_mesh(io.StringIO(text))
 
+
+def no_grad(p):
+    return np.zeros_like(p)
+
+
+def projection(f, mesh, k):
+    """The P_k projection of ``f`` on a one-cell mesh, as interpolate_qh
+    forms v0, and the function that evaluates it."""
+    c = interpolate_qh(f, no_grad, mesh, k).v0[0]
+    return c, lambda p: legendre_values(p, mesh.cell_centroid[0], mesh.cell_diameter[0], k) @ c
+
+
+def test_projection_reproduces_polynomials():
     def f(p):
         return 1.0 + 2 * p[:, 0] - p[:, 1] + 0.5 * p[:, 0] ** 2 * p[:, 1]
 
-    c = project_cell(f, TRI, basis)
+    _, pf = projection(f, one_cell_mesh(TRI), 3)
     pts = np.array([[0.3, 0.3], [0.4, 0.5], [0.35, 0.45]])
-    assert np.allclose(basis.values(pts) @ c, f(pts), atol=1e-12)
+    assert np.allclose(pf(pts), f(pts), atol=1e-12)
 
 
 def test_projection_orthogonality_and_idempotence():
-    basis = tri_basis(2)
+    k = 2
+    mesh = one_cell_mesh(TRI)
 
     def f(p):
         return np.sin(3 * p[:, 0]) * np.cos(2 * p[:, 1])
 
-    rule = quad_cell(TRI, 20)
-    c = project_cell(f, TRI, basis, rule=rule)
-    v = basis.values(rule.points)
-    resid = f(rule.points) - v @ c
-    # (f - Pf, q) = 0 for every q in the space.
+    c, pf = projection(f, mesh, k)
+    # (f - Pf, q) = 0 for every q in the space, under the projection's
+    # rule, which is exact for the products of two P_k functions.
+    rule = quad_cell(TRI, 2 * k + 2)
+    v = legendre_values(rule.points, mesh.cell_centroid[0], mesh.cell_diameter[0], k)
+    resid = f(rule.points) - pf(rule.points)
     assert np.allclose(v.T @ (rule.weights * resid), 0.0, atol=1e-13)
-    c2 = project_cell(lambda p: basis.values(p) @ c, TRI, basis)
+    c2, _ = projection(pf, mesh, k)
     assert np.allclose(c2, c, atol=1e-13)
 
 
@@ -186,7 +205,7 @@ def test_legendre_table_matches_numpy_legendre():
     rng = np.random.default_rng(2)
     pts = centroid + 0.2 * rng.standard_normal((7, 2))
     vals, gx, gy = legendre_table(pts, centroid, diam, degree)
-    lap = CellBasis(degree, centroid, diam).laplacians(pts)
+    lap = laplacians(pts, centroid, diam, degree)
     assert np.array_equal(legendre_values(pts, centroid, diam, degree), vals)
     h = 0.5 * diam
     x, y = ((pts - centroid) / h).T
@@ -213,12 +232,13 @@ def test_pk_basis_leads_pj_products(k, j, stacked):
         centroids, diams = TRI.mean(axis=0), diameter(TRI)
         pts = centroids + np.array([[0.01, 0.02], [-0.03, 0.05], [0.0, -0.02]])
     dk = dim_pk(k)
-    basis_k = CellBasis(k, centroids, diams)
-    for got, want in zip(basis_k.tables(pts), legendre_table(pts, centroids, diams, j)):
+    for got, want in zip(legendre_table(pts, centroids, diams, k),
+                         legendre_table(pts, centroids, diams, j)):
         assert np.array_equal(got, want[..., :dk])
-    assert np.array_equal(basis_k.values(pts), legendre_values(pts, centroids, diams, j)[..., :dk])
-    lap_j = CellBasis(j, centroids, diams).laplacians(pts)[..., :dk]
-    lap_k = basis_k.laplacians(pts)
+    assert np.array_equal(legendre_values(pts, centroids, diams, k),
+                          legendre_values(pts, centroids, diams, j)[..., :dk])
+    lap_j = laplacians(pts, centroids, diams, j)[..., :dk]
+    lap_k = laplacians(pts, centroids, diams, k)
     assert np.abs(lap_k).max() > 1.0
     assert np.allclose(lap_k, lap_j, rtol=1e-14, atol=1e-14 * np.abs(lap_k).max())
     assert np.array_equal(legendre_laplacian(j)[:dk, :dk], legendre_laplacian(k))
@@ -229,63 +249,36 @@ def test_pk_basis_leads_pj_products(k, j, stacked):
 def test_orthonormal_basis_gram_is_identity(polygon):
     # The factor comes from a degree-2m rule; integrate with a finer,
     # independent one.
-    basis = orthonormal_basis(5, polygon)
     rule = quad_cell(polygon, 16)
-    v = basis.values(rule.points)
-    assert np.allclose(v.T @ (rule.weights[:, None] * v), np.eye(basis.dim), atol=1e-10)
+    v = orthonormal_values(rule.points, 5, polygon)
+    assert np.allclose(v.T @ (rule.weights[:, None] * v), np.eye(dim_pk(5)), atol=1e-10)
 
 
 def test_orthonormal_basis_spans_pk():
     # Every Legendre product of degree <= m is reproduced by the basis.
-    basis = orthonormal_basis(4)
-    products = tri_basis(4)
     rule = quad_cell(TRI, 12)
-    v = basis.values(rule.points)
-    target = products.values(rule.points)
+    v = orthonormal_values(rule.points, 4)
+    target = tri_values(rule.points, 4)
     coeffs = v.T @ (rule.weights[:, None] * target)
     assert np.allclose(v @ coeffs, target, atol=1e-11)
 
 
-def test_orthonormal_gradients_match_finite_differences():
-    basis = orthonormal_basis(5)
-    rng = np.random.default_rng(3)
-    pts = TRI.mean(axis=0) + 0.1 * rng.standard_normal((20, 2))
-    g = basis.gradients(pts)
-    eps = 1e-6
-    for axis in range(2):
-        dp = pts.copy()
-        dm = pts.copy()
-        dp[:, axis] += eps
-        dm[:, axis] -= eps
-        fd = (basis.values(dp) - basis.values(dm)) / (2 * eps)
-        assert np.allclose(g[:, :, axis], fd, rtol=1e-6, atol=1e-6 * np.abs(g).max())
-
-
-def test_orthonormal_laplacians_match_finite_differences():
-    basis = orthonormal_basis(5)
-    rng = np.random.default_rng(4)
-    pts = TRI.mean(axis=0) + 0.1 * rng.standard_normal((10, 2))
-    lap_fd = -4.0 * basis.values(pts)
-    eps = 1e-4
-    for dx, dy in [(eps, 0), (-eps, 0), (0, eps), (0, -eps)]:
-        lap_fd = lap_fd + basis.values(pts + [dx, dy])
-    lap_fd /= eps**2
-    lap = basis.laplacians(pts)
-    assert np.abs(lap).max() > 1.0
-    assert np.allclose(lap, lap_fd, rtol=1e-4, atol=1e-5 * np.abs(lap).max())
-
-
 def test_orthonormal_basis_stack_matches_single_cells():
+    # A stack of factors R maps a stack of tables cell by cell, as one
+    # cell's factor maps its own table.
     polys = np.stack([TRI, TRI[::-1] * 0.5 + 0.3])
     centroids = polys.mean(axis=1)
     diams = np.array([diameter(p) for p in polys])
     rule = quad_cell(polys, 6)
     r, ok = orthonormal_factor(legendre_values(rule.points, centroids, diams, 3), rule.weights)
     assert ok.all()
-    stack = OrthonormalCellBasis(3, centroids, diams, r)
     pts = centroids[:, None, :] + np.array([[0.01, 0.02], [-0.03, 0.05], [0.0, -0.02]])
-    tables = stack.tables(pts)
+    tables = legendre_table(pts, centroids, diams, 3)
     for i in range(2):
-        single = OrthonormalCellBasis(3, centroids[i], diams[i], r[i]).tables(pts[i])
+        r_i, _ = orthonormal_factor(legendre_values(rule.points[i], centroids[i], diams[i], 3),
+                                    rule.weights[i])
+        single = legendre_table(pts[i], centroids[i], diams[i], 3)
         for got, want in zip(tables, single):
-            assert np.allclose(got[i], want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+            got = from_legendre(r, got.swapaxes(-1, -2)).swapaxes(-1, -2)[i]
+            want = from_legendre(r_i, want.T).T
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())

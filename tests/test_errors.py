@@ -12,6 +12,7 @@ from sfwg.errors import (
 )
 from sfwg.mesh import build_polygonal, build_triangular
 from sfwg.solutions import builtin_solution
+from sfwg.study import StudyConfig, run_study
 from sfwg.system import solve_biharmonic
 from sfwg.weakop import WeakFunction, element_operators, interpolate_qh
 
@@ -166,3 +167,20 @@ def test_error_pipeline_small_solve():
     el = error_l2(ex, uh, mesh)
     assert 0.0 < el < e3
     assert e2 > 0.0
+
+
+@pytest.mark.parametrize("family,builder,n", [("triangular", build_triangular, 4),
+                                              ("polygonal", build_polygonal, 4)])
+def test_study_rows_equal_standalone_errors(family, builder, n):
+    # run_study shares its element operators with the solve and error_triple;
+    # error_2h and error_l2 take none.  Each row must be what the
+    # standalone calls, which build everything themselves, give bit for bit.
+    ex = builtin_solution(1)
+    k = 2
+    j = StudyConfig(family=family, k=k).effective_j()
+    row = run_study(StudyConfig(example=1, family=family, k=k, levels=[n])).rows[0]
+    mesh = builder(n)
+    u_h = solve_biharmonic(mesh, k, j, ex.source, boundary=(ex.u, ex.grad))
+    assert row["err_triple"] == error_triple(ex, u_h, mesh, k, j)
+    assert row["err_2h"] == error_2h(ex, u_h, mesh, k)
+    assert row["err_l2"] == error_l2(ex, u_h, mesh)

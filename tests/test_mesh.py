@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from sfwg.mesh import (
+    CellStack,
     MeshFormatError,
     MeshTopologyError,
     _convex,
@@ -276,8 +278,24 @@ def test_cell_stacks_are_the_stored_stacks():
         rows = np.flatnonzero(np.isin(full.cells, pick))
         assert np.array_equal(got.cells, full.cells[rows])
         assert np.array_equal(got.polygons, full.polygons[rows])
-        assert np.array_equal(got.edges, full.edges[rows])
-        assert np.array_equal(got.sigma, full.sigma[rows])
+        for f in dataclasses.fields(CellStack):
+            assert np.array_equal(getattr(got, f.name), getattr(full, f.name)[rows]), f.name
+
+
+@pytest.mark.parametrize("mesh", [build_triangular(3), build_polygonal(4)], ids=["tri", "poly"])
+def test_stack_geometry_agrees_with_the_mesh(mesh):
+    for s in mesh.stacks:
+        assert np.array_equal(s.centroid, mesh.cell_centroid[s.cells])
+        assert np.array_equal(s.diameter, mesh.cell_diameter[s.cells])
+        assert np.array_equal(s.p0, mesh.vertices[mesh.edges[s.edges, 0]])
+        assert np.array_equal(s.p1, mesh.vertices[mesh.edges[s.edges, 1]])
+        assert np.array_equal(s.normal, s.sigma[..., None] * mesh.edge_normal[s.edges])
+        # Outward: the normal of local edge t, from vertex t to t+1 of a CCW
+        # cell, is its tangent turned clockwise.
+        d = np.roll(s.polygons, -1, axis=1) - s.polygons
+        assert np.allclose(s.normal * np.linalg.norm(d, axis=-1)[..., None],
+                           np.stack([d[..., 1], -d[..., 0]], axis=-1), atol=1e-14)
+        assert np.allclose(np.linalg.norm(s.normal, axis=-1), 1.0, atol=1e-15)
 
 
 def test_load_rejects_self_intersecting_cell():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfwg.basis import CellBasis, EdgeBasis, dim_pk
+from sfwg.basis import EdgeBasis, dim_pk, from_legendre, legendre_table, legendre_values
 from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
 from sfwg.quadrature import quad_cell, quad_edge
 from sfwg.weakop import (
@@ -27,8 +27,16 @@ def local(v, mesh, op):
     return v.flat()[local_dofs(mesh, op.stack, v.k)]
 
 
+def psi_tables(op, pts):
+    """Values and gradients (d/dx, d/dy) at ``pts`` of the orthonormal P_j
+    basis psi = V R^-1 of a one-cell operator."""
+    s = op.stack
+    return [from_legendre(op.r[0], t.T).T
+            for t in legendre_table(pts, s.centroid[0], s.diameter[0], op.j)]
+
+
 def lifted_values(op, dofs, pts):
-    return op.basis_j.values(pts)[0] @ apply_weak_laplacian(op, dofs)[0]
+    return psi_tables(op, pts)[0] @ apply_weak_laplacian(op, dofs)[0]
 
 
 def sigma_of(mesh, cell, e):
@@ -131,11 +139,11 @@ def test_single_vb_column_against_independent_quadrature():
     # edge and cell rules of our own.
     n_out = sigma * mesh.edge_normal[e]
     erule = quad_edge(p0, p1, 2 * j)
-    _, gx, gy = (t[0] for t in op.basis_j.tables(erule.points))
+    _, gx, gy = psi_tables(op, erule.points)
     rhs = -((gx * n_out[0] + gy * n_out[1]).T @ erule.weights)
 
     crule = quad_cell(mesh.cell_polygon(cell), 2 * j)
-    vj = op.basis_j.values(crule.points)[0]
+    vj = psi_tables(op, crule.points)[0]
     mass = vj.T @ (crule.weights[:, None] * vj)
     assert np.allclose(mass @ coeff, rhs, atol=1e-12)
 
@@ -159,10 +167,10 @@ def test_flux_column_sign_tracks_sigma():
         ebasis = EdgeBasis(k - 1, p0, p1)
         erule = quad_edge(p0, p1, 2 * j)
         vj = erule.weights @ (
-            ebasis.values(erule.params)[:, :1] * op.basis_j.values(erule.points)[0]
+            ebasis.values(erule.params)[:, :1] * psi_tables(op, erule.points)[0]
         )
         crule = quad_cell(mesh.cell_polygon(cell), 2 * j)
-        vq = op.basis_j.values(crule.points)[0]
+        vq = psi_tables(op, crule.points)[0]
         mass = vq.T @ (crule.weights[:, None] * vq)
         sigma = sigma_of(mesh, cell, e)
         results[cell] = (mass @ coeff, sigma * vj)
@@ -216,9 +224,10 @@ def test_interpolation_error_rate():
         v = interpolate_qh(u, grad_u, mesh, k)
         total = 0.0
         for cell in range(mesh.n_cells):
-            basis = CellBasis(k, mesh.cell_centroid[cell], mesh.cell_diameter[cell])
             rule = quad_cell(mesh.cell_polygon(cell), 2 * k + 4)
-            diff = u(rule.points) - basis.values(rule.points) @ v.v0[cell]
+            vals = legendre_values(rule.points, mesh.cell_centroid[cell],
+                                   mesh.cell_diameter[cell], k)
+            diff = u(rule.points) - vals @ v.v0[cell]
             total += float(rule.weights @ diff**2)
         errs.append(np.sqrt(total))
     rate = np.log2(errs[0] / errs[1])
