@@ -1,4 +1,4 @@
-"""Polynomial bases on cells and edges, and the edge L2 projection.
+"""Polynomial bases on cells and edges.
 
 Cell polynomials are products of Legendre polynomials P_a(x') P_b(y'),
 a + b <= m, in the coordinates (x', y') = (x - c) / (d / 2) of a cell with
@@ -7,15 +7,14 @@ order of ``monomial_exponents`` the products of degree <= k lead those of
 degree j > k, so the P_k basis of v0 is the leading part of the P_j
 products V, which the weak Laplacian orthonormalizes per cell as V R^-1
 (``orthonormal_factor``, ``from_legendre``).  Edge bases are Legendre
-polynomials in arclength, orthonormal with respect to the edge line integral.
+polynomials in arclength, orthonormal with respect to the edge line integral
+(``edge_values``), so an edge L2 projection is a plain inner product.
 """
 
 import functools
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
-
-from .quadrature import quad_edge
 
 
 class SingularCellError(RuntimeError):
@@ -120,52 +119,30 @@ def from_legendre(r, moments):
     return out
 
 
-def orthonormal_factor(vals, weights):
+def orthonormal_factor(weighted):
     """R of the QR factorization sqrt(w) V = Q R of a Legendre value table.
 
-    ``vals`` is V at a cell rule's points, (..., npts, dim), and ``weights``
-    the rule's weights (..., npts); stacks give one factor per cell.
-    Returns (R, ok), with ``ok`` false where the table is numerically rank
-    deficient.
+    ``weighted`` is sqrt(w) V, the table V at a cell rule's points scaled
+    by the square roots of the rule's weights w, (..., npts, dim); stacks
+    give one factor per cell.  Returns (R, ok), with ``ok`` false where the
+    table is numerically rank deficient.
     """
-    r = np.linalg.qr(np.sqrt(weights)[..., None] * vals, mode="r")
+    r = np.linalg.qr(weighted, mode="r")
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     ok = np.isfinite(r).all(axis=(-2, -1)) & (diag.min(axis=-1) > 1e-13 * diag.max(axis=-1))
     return r, ok
 
 
-class EdgeBasis:
-    """Orthonormal polynomial basis of P_m(e) in the arclength parameter.
+def edge_values(degree, p0, p1, s):
+    """Orthonormal basis of P_degree(e) at arclengths ``s`` from ``p0``.
 
-    Arclength runs from ``p0`` to ``p1``; basis i is
-    sqrt((2i+1)/L) * P_i(2s/L - 1) with P_i the Legendre polynomial, so the
-    Gram matrix over the edge is exactly the identity.  Stacks of endpoints
-    (..., 2) give one basis per edge, evaluated at arclengths (..., npts).
+    Basis i is sqrt((2i+1)/L) * P_i(2s/L - 1), with P_i the Legendre
+    polynomial and L = |p1 - p0|, so the Gram matrix over the edge is
+    exactly the identity.  Stacks of endpoints (..., 2) give one basis per
+    edge, at arclengths (..., npts); values are (..., npts, degree + 1).
     """
-
-    def __init__(self, degree: int, p0, p1):
-        self.degree = degree
-        self.p0 = np.asarray(p0, dtype=float)
-        self.p1 = np.asarray(p1, dtype=float)
-        d = self.p1 - self.p0
-        self.length = np.hypot(d[..., 0], d[..., 1])
-        self.dim = degree + 1
-        self._scale = np.sqrt((2.0 * np.arange(self.dim) + 1.0) / self.length[..., None])
-
-    def values(self, s):
-        """Basis values at arclength positions ``s`` in [0, L]."""
-        t = 2.0 * np.asarray(s, dtype=float) / self.length[..., None] - 1.0
-        return legvander(t, self.degree) * self._scale[..., None, :]
-
-
-def project_edge(g, ebasis: EdgeBasis, rule=None):
-    """Coefficients of the L2(e) projection of ``g`` onto the edge basis.
-
-    The basis is orthonormal, so projection is a plain inner product.
-    ``g`` maps the rule's physical points (..., npts, 2) to values
-    (..., npts); a stacked basis gives coefficients (..., dim).
-    """
-    if rule is None:
-        rule = quad_edge(ebasis.p0, ebasis.p1, 2 * ebasis.degree + 2)
-    vt = ebasis.values(rule.params).swapaxes(-1, -2)
-    return (vt @ (rule.weights * np.asarray(g(rule.points), dtype=float))[..., None])[..., 0]
+    d = np.asarray(p1, dtype=float) - np.asarray(p0, dtype=float)
+    length = np.hypot(d[..., 0], d[..., 1])[..., None]
+    t = 2.0 * np.asarray(s, dtype=float) / length - 1.0
+    scale = np.sqrt((2.0 * np.arange(degree + 1) + 1.0) / length)
+    return legvander(t, degree) * scale[..., None, :]

@@ -1,5 +1,8 @@
 """Command-line interface: convergence studies, single solves, mesh dumps.
 
+``study`` and ``solve`` (a study of one level) share their problem options
+and one runner; ``study`` and ``mesh`` write to ``--out`` or to stdout.
+
 Exit codes: 0 success, 2 configuration or mesh error, 3 solver failure.
 """
 
@@ -34,25 +37,23 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    study = sub.add_parser("study", help="run a convergence study")
-    study.add_argument("--example", type=int, choices=(1, 2), default=1)
-    study.add_argument("--mesh", default="tri", help="tri, poly, or file:PATH[,PATH...]")
-    study.add_argument("--k", type=int, default=2)
-    study.add_argument("--j", type=int, default=None)
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--example", type=int, choices=(1, 2), default=1)
+    problem.add_argument("--mesh", default="tri", help="tri, poly, or file:PATH[,PATH...]")
+    problem.add_argument("--k", type=int, default=2)
+    problem.add_argument("--j", type=int, default=None)
+    problem.add_argument("--tol", type=float, default=1e-12)
+
+    study = sub.add_parser("study", parents=[problem], help="run a convergence study")
     study.add_argument("--levels", default="8,16,32,64",
                        help="comma-separated refinement levels")
-    study.add_argument("--tol", type=float, default=1e-12)
     study.add_argument("--format", dest="fmt", choices=("csv", "markdown"),
                        default="csv")
     study.add_argument("--out", default=None, help="output path (default stdout)")
 
-    single = sub.add_parser("solve", help="single solve, errors as key=value lines")
-    single.add_argument("--example", type=int, choices=(1, 2), default=1)
-    single.add_argument("--mesh", default="tri")
+    single = sub.add_parser("solve", parents=[problem],
+                            help="single solve, errors as key=value lines")
     single.add_argument("--n", type=int, default=8, help="refinement level")
-    single.add_argument("--k", type=int, default=2)
-    single.add_argument("--j", type=int, default=None)
-    single.add_argument("--tol", type=float, default=1e-12)
 
     meshcmd = sub.add_parser("mesh", help="generate a mesh and dump the text format")
     meshcmd.add_argument("--family", choices=("tri", "poly"), default="tri")
@@ -61,61 +62,54 @@ def _build_parser():
     return parser
 
 
-def _cmd_study(args):
+def _emit(path, write):
+    """Call ``write`` on the file at ``path``, or on stdout when it is None."""
+    if path is None:
+        write(sys.stdout)
+    else:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+
+
+def _run(args, levels, write):
+    """Run the study that ``args`` describe at ``levels`` and pass its
+    report, complete or cut at a solver failure, to ``write``."""
     family, files = _parse_mesh_flag(args.mesh)
+    if args.command == "solve" and len(files) > 1:
+        raise ConfigError("solve takes a single mesh file")
+    report = run_study(StudyConfig(
+        example=args.example, family=family, mesh_files=files,
+        k=args.k, j=args.j, levels=levels, tol=args.tol,
+    ))
+    write(report)
+    if "error" in report.metadata:
+        print(f"solver failure: {report.metadata['error']}", file=sys.stderr)
+        return 3
+    return 0
+
+
+def _cmd_study(args):
     try:
         levels = [int(t) for t in args.levels.split(",") if t]
     except ValueError:
         raise ConfigError(f"bad --levels value {args.levels!r}") from None
-    config = StudyConfig(
-        example=args.example, family=family, mesh_files=files,
-        k=args.k, j=args.j, levels=levels, tol=args.tol,
-        fmt=args.fmt, out=args.out,
-    )
-    config.validate()
-    report = run_study(config)
-    if args.out is None:
-        write_report(report, args.fmt, sys.stdout)
-    if "error" in report.metadata:
-        print(f"solver failure: {report.metadata['error']}", file=sys.stderr)
-        return 3
-    return 0
+    return _run(args, levels, lambda report: _emit(
+        args.out, lambda fh: write_report(report, args.fmt, fh)))
 
 
 def _cmd_solve(args):
-    family, files = _parse_mesh_flag(args.mesh)
-    if len(files) > 1:
-        raise ConfigError("solve takes a single mesh file")
-    # A single solve is a study of one level.
-    report = run_study(StudyConfig(
-        example=args.example, family=family, mesh_files=files,
-        k=args.k, j=args.j, levels=[args.n], tol=args.tol,
-    ))
-    if "error" in report.metadata:
-        print(f"solver failure: {report.metadata['error']}", file=sys.stderr)
-        return 3
-    row = report.rows[0]
-    print(f"n={args.n}")
-    print(f"h={row['h']:.6e}")
-    for key in ("err_triple", "err_2h", "err_l2"):
-        print(f"{key}={row[key]:.6e}")
-    return 0
+    def print_rows(report):  # none after a solver failure
+        for row in report.rows:
+            print(f"n={row['n']}")
+            print(f"h={row['h']:.6e}")
+            for key in ("err_triple", "err_2h", "err_l2"):
+                print(f"{key}={row[key]:.6e}")
+    return _run(args, [args.n], print_rows)
 
 
 def _cmd_mesh(args):
-    if args.family == "tri":
-        if args.n < 1:
-            raise ConfigError("triangular mesh needs n >= 1")
-        mesh = build_triangular(args.n)
-    else:
-        if args.n < 2:
-            raise ConfigError("polygonal mesh needs n >= 2")
-        mesh = build_polygonal(args.n)
-    if args.out is None:
-        dump_mesh(mesh, sys.stdout)
-    else:
-        with open(args.out, "w", newline="") as fh:
-            dump_mesh(mesh, fh)
+    mesh = (build_triangular if args.family == "tri" else build_polygonal)(args.n)
+    _emit(args.out, lambda fh: dump_mesh(mesh, fh))
     return 0
 
 

@@ -29,10 +29,6 @@ class MeshTopologyError(MeshError):
     pass
 
 
-class MeshGenerationError(MeshError):
-    pass
-
-
 @dataclass
 class CellStack:
     """The cells of a mesh that have one vertex count, as stacked arrays.
@@ -137,17 +133,17 @@ def _simple(polygons):
 
 # Why _build rejects a cell, in the order it checks them.  quad_cell fans a
 # cell from its centroid, which is exact only on convex cells.
-_CELL_FAULTS = ("has fewer than 3 vertices", "repeats a vertex index",
-                "is not counter-clockwise (signed area {area:g})",
+_CELL_FAULTS = ("is not counter-clockwise (signed area {area:g})",
                 "is not a simple polygon", "is not convex")
 
 
 def _build(vertices, cells, diameter=None):
     """Derive all edge/cell data from vertices and CCW cell cycles.
 
-    Cells are checked and measured one stack of equal vertex count at a
-    time.  Half-edge arrays run over (cell, local edge) in order; edges are
-    numbered in order of first appearance there.
+    Cells have at least 3 distinct vertex indices (``load_mesh`` checks
+    this).  They are checked and measured one stack of equal vertex count
+    at a time.  Half-edge arrays run over (cell, local edge) in order;
+    edges are numbered in order of first appearance there.
     """
     vertices = np.asarray(vertices, dtype=float)
     count = np.fromiter(map(len, cells), np.intp, len(cells))
@@ -156,20 +152,16 @@ def _build(vertices, cells, diameter=None):
     n_cells = len(count)
 
     fault = np.zeros((len(_CELL_FAULTS), n_cells), dtype=bool)
-    fault[0] = count < 3
-    area = np.zeros(n_cells)
+    area = np.empty(n_cells)
     groups = []  # (cells, half-edge index (nc, nv), polygons)
-    for nv in np.unique(count[count >= 3]):
+    for nv in np.unique(count):
         sel = np.flatnonzero(count == nv)
         half = first[sel, None] + np.arange(nv)
-        idx = flat[half]
-        poly = vertices[idx]
-        ordered = np.sort(idx, axis=1)
-        fault[1, sel] = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        poly = vertices[flat[half]]
         area[sel] = polygon_area(poly)
-        fault[2, sel] = area[sel] <= 0.0
-        fault[3, sel] = ~_simple(poly)
-        fault[4, sel] = ~_convex(poly)
+        fault[0, sel] = area[sel] <= 0.0
+        fault[1, sel] = ~_simple(poly)
+        fault[2, sel] = ~_convex(poly)
         groups.append((sel, half, poly))
     if fault.any():
         i = int(np.argmax(fault.any(axis=0)))
@@ -219,6 +211,14 @@ def _build(vertices, cells, diameter=None):
         raise MeshTopologyError(
             f"edge {half_edge[h]} normal not colinear with cell {cell_of[h]} outward normal")
     sigma = np.where(dot > 0, 1.0, -1.0)
+    # Two CCW cells run an edge they share in opposite directions; cells
+    # that run it the same way overlap, folded over the edge.
+    folded = (np.bincount(half_edge, sigma) != 0.0) & (edge_cells[:, 1] >= 0)
+    if folded.any():
+        e = int(np.argmax(folded))
+        raise MeshTopologyError(
+            f"cells {edge_cells[e, 0]} and {edge_cells[e, 1]} run their shared edge "
+            f"{(int(edges[e, 0]), int(edges[e, 1]))} in the same direction")
 
     centroids = np.empty((n_cells, 2))
     diameters = np.empty(n_cells)
@@ -269,7 +269,8 @@ def build_polygonal(n: int) -> Mesh:
     A stretched honeycomb with ``n`` hexagon columns, laid out on an integer
     lattice (x multiples of 1/(2n), y multiples of 1/(3m)) so that clipping
     to the square is exact: interior cells are hexagons, boundary cells
-    convex quadrilaterals and pentagons.
+    convex quadrilaterals and pentagons.  Every hexagon center lies in the
+    closed lattice box, so no clipped cell is empty or degenerate.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -294,13 +295,11 @@ def build_polygonal(n: int) -> Mesh:
                 pt = (bound, o) if axis == 0 else (o, bound)
                 out.append(pt)
         # Drop consecutive duplicates produced by on-boundary vertices.
-        dedup = [p for i, p in enumerate(out) if p != out[i - 1]]
-        return dedup
+        return [p for i, p in enumerate(out) if p != out[i - 1]]
 
     vertex_id = {}
     vertices = []
     cells = []
-    min_area2 = None
     for r in range(m + 1):
         qc = 3 * r
         centers = (
@@ -320,23 +319,6 @@ def build_polygonal(n: int) -> Mesh:
             poly = clip(poly, 0, px_max, True)
             poly = clip(poly, 1, 0, False)
             poly = clip(poly, 1, py_max, True)
-            if len(poly) < 3:
-                continue
-            # Twice the signed area in lattice units.
-            area2 = sum(
-                poly[i][0] * poly[(i + 1) % len(poly)][1]
-                - poly[(i + 1) % len(poly)][0] * poly[i][1]
-                for i in range(len(poly))
-            )
-            if area2 == 0:
-                continue
-            if min_area2 is None:
-                # Degeneracy threshold in lattice-area units.
-                min_area2 = 1e-12 * (1.0 / n) ** 2 * 2.0 * (2 * n) * (3 * m)
-            if area2 < min_area2:
-                raise MeshGenerationError(
-                    f"degenerate clipped cell at lattice center ({pc}, {qc})"
-                )
             idx = []
             for p in poly:
                 v = vertex_id.get(p)

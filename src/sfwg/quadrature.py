@@ -22,7 +22,7 @@ class QuadratureDegreeError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points (npts, 2), positive weights (npts,), and exactness degree.
+    """Points (npts, 2) and positive weights (npts,).
 
     For edge rules ``params`` holds the arclength of each point measured
     from the first endpoint.
@@ -30,7 +30,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
     params: np.ndarray | None = None
 
 
@@ -94,7 +93,7 @@ def quad_cell(polygon, degree):
                np.roll(polygon, -1, axis=-2))
     pts, w = triangle_rule(*fan, degree)
     lead = polygon.shape[:-2]
-    return QuadratureRule(pts.reshape(lead + (-1, 2)), w.reshape(lead + (-1,)), degree)
+    return QuadratureRule(pts.reshape(lead + (-1, 2)), w.reshape(lead + (-1,)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,7 +118,7 @@ def quad_edge(p0, p1, degree):
     d = np.asarray(p1, dtype=float)[..., None, :] - p0
     length = np.hypot(d[..., 0], d[..., 1])
     pts = p0 + t[:, None] * d
-    return QuadratureRule(pts, w * length, degree, params=t * length)
+    return QuadratureRule(pts, w * length, params=t * length)
 
 
 def at_points(f, pts):

@@ -1,4 +1,5 @@
-"""Configuration-driven convergence studies and table emission."""
+"""Configuration-driven convergence studies: ``run_study`` computes a
+ConvergenceReport and ``write_report`` formats it on a stream."""
 
 import io
 import math
@@ -32,8 +33,6 @@ class StudyConfig:
     j: int | None = None
     levels: list = field(default_factory=lambda: [8, 16, 32, 64])
     tol: float = 1e-12
-    fmt: str = "csv"
-    out: str | None = None
 
     def effective_j(self):
         return self.j if self.j is not None else default_j(self.k, self.family)
@@ -62,8 +61,6 @@ class StudyConfig:
                 raise ConfigError("triangular levels must be >= 1")
             if self.family == "polygonal" and min(self.levels) < 2:
                 raise ConfigError("polygonal levels must be >= 2")
-        if self.fmt not in ("csv", "markdown"):
-            raise ConfigError(f"output format must be csv or markdown, got {self.fmt}")
         if not (self.tol > 0.0):
             raise ConfigError("solver tolerance must be positive")
 
@@ -120,10 +117,6 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
             error_l2(exact, u_h, mesh),
         )
         report.add_row(n, mesh.h, errs)
-
-    if config.out is not None:
-        with open(config.out, "w", newline="") as fh:
-            write_report(report, config.fmt, fh)
     return report
 
 

@@ -83,8 +83,9 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
     """Stiffness (Lw., Lw.) and load (f, v0) over free DOFs.
 
     ``ops`` is the list from ``element_operators(mesh, k, j)``, built here
-    when not given.  Stacks and their cells are processed in a fixed order,
-    so the result is bit-reproducible.
+    when not given; given, the load of each operator's cells is integrated
+    at its own P_j degree ``op.j`` and ``j`` is not read.  Stacks and their
+    cells are processed in a fixed order, so the result is bit-reproducible.
     """
     if ops is None:
         ops = element_operators(mesh, k, j)
@@ -105,7 +106,7 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
 
         # Load (f, phi_i)_T on the v0 block, less the constrained columns.
         rhs = -(ke @ constrained[loc][..., None])[..., 0]
-        rhs[:, :dim_pk(k)] += _load(stack, k, j, f)
+        rhs[:, :dim_pk(k)] += _load(stack, k, op.j, f)
         np.add.at(b, idx[free], rhs[free])
 
     A = sp.coo_matrix(

@@ -24,15 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    EdgeBasis,
     SingularCellError,
     dim_pk,
+    edge_values,
     from_legendre,
     legendre_laplacian,
     legendre_table,
     legendre_values,
     orthonormal_factor,
-    project_edge,
 )
 from .mesh import CellStack, cell_stacks
 from .quadrature import at_points, quad_cell, quad_edge
@@ -62,7 +61,7 @@ def edge_tables(stack: CellStack, k: int, degree: int, rule_degree: int):
     each (nc, nv, q, dim P_degree).
     """
     erule = quad_edge(stack.p0, stack.p1, rule_degree)
-    chi = EdgeBasis(k - 1, stack.p0, stack.p1).values(erule.params)
+    chi = edge_values(k - 1, stack.p0, stack.p1, erule.params)
     shape = erule.points.shape[:-1] + (-1,)
     vals, gx, gy = (t.reshape(shape) for t in legendre_table(
         erule.points.reshape(len(stack.cells), -1, 2), stack.centroid, stack.diameter, degree))
@@ -151,7 +150,8 @@ def _stack_operator(stack, k, j):
         raise ValueError(f"lifting degree j={j} must exceed k={k}")
     nc = len(stack.cells)
     rule, vals = cell_tables(stack, j, cell_rule_degree(j))
-    r, ok = orthonormal_factor(vals, rule.weights)
+    vals *= np.sqrt(rule.weights)[..., None]
+    r, ok = orthonormal_factor(vals)
     del rule, vals  # the largest table: not held through the edge terms
     if not ok.all():
         raise SingularCellError(
@@ -199,17 +199,19 @@ def apply_weak_laplacian(op: StackOperator, dofs) -> np.ndarray:
 def project_edge_data(mesh, edges, k: int, u=None, grad=None):
     """(v_b, v_n) on the given edges, (len(edges), k) each: the edge
     projections of the trace of ``u`` and of ``grad . n_e``, or zeros where
-    the field is None."""
-    edges = np.asarray(edges, dtype=np.intp)
-    ebasis = EdgeBasis(k - 1, mesh.vertices[mesh.edges[edges, 0]],
-                       mesh.vertices[mesh.edges[edges, 1]])
-    n_e = mesh.edge_normal[edges, None, :]
-    vb = np.zeros((len(edges), k))
-    vn = np.zeros((len(edges), k))
-    if u is not None:
-        vb = project_edge(lambda pts: at_points(u, pts), ebasis)
-    if grad is not None:
-        vn = project_edge(lambda pts: np.sum(at_points(grad, pts) * n_e, axis=-1), ebasis)
+    the field is None.  The edge basis is orthonormal, so each is an inner
+    product, under a rule exact for the product of two P_k functions.
+    """
+    p0, p1 = mesh.vertices[mesh.edges[edges, 0]], mesh.vertices[mesh.edges[edges, 1]]
+    rule = quad_edge(p0, p1, 2 * k)
+    chi_t = edge_values(k - 1, p0, p1, rule.params).swapaxes(-1, -2)
+
+    def project(g):
+        return (chi_t @ (rule.weights * g)[..., None])[..., 0]
+
+    vb = np.zeros((len(edges), k)) if u is None else project(at_points(u, rule.points))
+    vn = np.zeros((len(edges), k)) if grad is None else project(
+        np.sum(at_points(grad, rule.points) * mesh.edge_normal[edges, None, :], axis=-1))
     return vb, vn
 
 

@@ -34,9 +34,7 @@ def _report(ok: bool, label: str):
 
 
 def _timed_study(**kwargs):
-    config = StudyConfig(
-        mesh_files=[], j=None, tol=1e-12, fmt="csv", out=None, **kwargs
-    )
+    config = StudyConfig(mesh_files=[], j=None, tol=1e-12, **kwargs)
     t0 = time.perf_counter()
     report = run_study(config)
     return report, time.perf_counter() - t0

@@ -6,19 +6,18 @@ import pytest
 from numpy.polynomial import Legendre
 
 from sfwg.basis import (
-    EdgeBasis,
     dim_pk,
+    edge_values,
     from_legendre,
     legendre_laplacian,
     legendre_table,
     legendre_values,
     monomial_exponents,
     orthonormal_factor,
-    project_edge,
 )
 from sfwg.mesh import build_triangular, load_mesh
 from sfwg.quadrature import quad_cell, quad_edge
-from sfwg.weakop import interpolate_qh
+from sfwg.weakop import interpolate_qh, project_edge_data
 
 TRI = np.array([[0.1, 0.2], [0.7, 0.15], [0.35, 0.9]])
 PENTAGON = np.array([[0.0, 0.0], [0.6, -0.1], [0.9, 0.4], [0.5, 0.8], [-0.1, 0.5]])
@@ -39,12 +38,17 @@ def laplacians(pts, centroid, diam, degree):
     return legendre_values(pts, centroid, diam, degree) @ legendre_laplacian(degree) / h**2
 
 
+def weighted(rule, vals):
+    """A value table at a rule's points, scaled by the square roots of its weights."""
+    return np.sqrt(rule.weights)[..., None] * vals
+
+
 def orthonormal_values(pts, degree, polygon=TRI):
     """Values of the orthonormal basis psi = V R^-1 of the weak Laplacian,
     with R from a degree-2m rule on ``polygon``."""
     centroid, diam = polygon.mean(axis=0), diameter(polygon)
     rule = quad_cell(polygon, 2 * degree)
-    r, ok = orthonormal_factor(legendre_values(rule.points, centroid, diam, degree), rule.weights)
+    r, ok = orthonormal_factor(weighted(rule, legendre_values(rule.points, centroid, diam, degree)))
     assert ok
     return from_legendre(r, legendre_values(pts, centroid, diam, degree).T).T
 
@@ -164,39 +168,69 @@ def test_projection_orthogonality_and_idempotence():
     assert np.allclose(c2, c, atol=1e-13)
 
 
+def edge_of(mesh, a, b):
+    """Index and (lo, hi) endpoints of the mesh edge between vertices a and b."""
+    e = int(np.flatnonzero((mesh.edges == sorted((a, b))).all(axis=1))[0])
+    return e, *mesh.edge_endpoints(e)
+
+
 def test_edge_basis_orthonormal():
-    eb = EdgeBasis(4, [0.2, 0.1], [0.9, 0.6])
-    rule = quad_edge(eb.p0, eb.p1, 2 * eb.degree)
-    v = eb.values(rule.params)
+    p0, p1 = np.array([0.2, 0.1]), np.array([0.9, 0.6])
+    rule = quad_edge(p0, p1, 8)
+    v = edge_values(4, p0, p1, rule.params)
     assert np.allclose(v.T @ (rule.weights[:, None] * v), np.eye(5), atol=1e-13)
 
 
 def test_edge_projection_reproduces_polynomials():
-    p0, p1 = np.array([0.0, 1.0]), np.array([2.0, 0.0])
-    eb = EdgeBasis(3, p0, p1)
+    # v_b and v_n of k = 4 live in P_3(e), which holds the trace of a cubic
+    # and its normal derivative.
+    k = 4
+    mesh = one_cell_mesh(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
+    e, p0, p1 = edge_of(mesh, 1, 2)
 
     def g(p):
         return 2.0 - p[:, 0] + p[:, 0] ** 2 * 0.25 + p[:, 1] ** 3
 
-    c = project_edge(g, eb)
-    s = np.linspace(0.0, eb.length, 9)
-    pts = p0 + np.outer(s / eb.length, p1 - p0)
-    assert np.allclose(eb.values(s) @ c, g(pts), atol=1e-12)
+    def grad_g(p):
+        return np.stack([-1.0 + 0.5 * p[:, 0], 3.0 * p[:, 1] ** 2], axis=1)
+
+    vb, vn = project_edge_data(mesh, [e], k, g, grad_g)
+    length = np.hypot(*(p1 - p0))
+    s = np.linspace(0.0, length, 9)
+    pts = p0 + np.outer(s / length, p1 - p0)
+    chi = edge_values(k - 1, p0, p1, s)
+    assert np.allclose(chi @ vb[0], g(pts), atol=1e-12)
+    assert np.allclose(chi @ vn[0], grad_g(pts) @ mesh.edge_normal[e], atol=1e-12)
 
 
 def test_edge_projection_orthogonality():
-    eb = EdgeBasis(2, [0.0, 0.0], [1.0, 1.0])
+    # (g - Qb g, chi)_e = 0 for every chi in P_{k-1}(e), under the
+    # projection's rule, which is exact for the products of two P_k
+    # functions; and Qb reproduces its own output.
+    k = 3
+    mesh = one_cell_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
+    e, p0, p1 = edge_of(mesh, 0, 2)
 
     def g(p):
         return np.exp(p[:, 0])
 
-    from sfwg.quadrature import quad_edge
+    def grad_g(p):
+        return np.stack([np.exp(p[:, 0]), np.sin(p[:, 1])], axis=1)
 
-    rule = quad_edge(eb.p0, eb.p1, 30)
-    c = project_edge(g, eb, rule=rule)
-    v = eb.values(rule.params)
-    resid = g(rule.points) - v @ c
-    assert np.allclose(v.T @ (rule.weights * resid), 0.0, atol=1e-12)
+    vb, vn = project_edge_data(mesh, [e], k, g, grad_g)
+    rule = quad_edge(p0, p1, 2 * k)
+    v = edge_values(k - 1, p0, p1, rule.params)
+    for target, c in ((g(rule.points), vb[0]),
+                      (grad_g(rule.points) @ mesh.edge_normal[e], vn[0])):
+        resid = target - v @ c
+        assert np.allclose(v.T @ (rule.weights * resid), 0.0, atol=1e-13)
+
+    def qb_g(p):
+        t = np.hypot(*(p - p0).T)
+        return edge_values(k - 1, p0, p1, t) @ vb[0]
+
+    again, _ = project_edge_data(mesh, [e], k, qb_g)
+    assert np.allclose(again, vb, atol=1e-13)
 
 
 def test_legendre_table_matches_numpy_legendre():
@@ -270,13 +304,13 @@ def test_orthonormal_basis_stack_matches_single_cells():
     centroids = polys.mean(axis=1)
     diams = np.array([diameter(p) for p in polys])
     rule = quad_cell(polys, 6)
-    r, ok = orthonormal_factor(legendre_values(rule.points, centroids, diams, 3), rule.weights)
+    r, ok = orthonormal_factor(weighted(rule, legendre_values(rule.points, centroids, diams, 3)))
     assert ok.all()
     pts = centroids[:, None, :] + np.array([[0.01, 0.02], [-0.03, 0.05], [0.0, -0.02]])
     tables = legendre_table(pts, centroids, diams, 3)
     for i in range(2):
-        r_i, _ = orthonormal_factor(legendre_values(rule.points[i], centroids[i], diams[i], 3),
-                                    rule.weights[i])
+        r_i, _ = orthonormal_factor(np.sqrt(rule.weights[i])[:, None]
+                                    * legendre_values(rule.points[i], centroids[i], diams[i], 3))
         single = legendre_table(pts[i], centroids[i], diams[i], 3)
         for got, want in zip(tables, single):
             got = from_legendre(r, got.swapaxes(-1, -2)).swapaxes(-1, -2)[i]

@@ -87,7 +87,7 @@ def test_study_markdown(capsys):
 def test_provenance_header_roundtrip():
     config = StudyConfig(
         example=2, family="triangular", mesh_files=[], k=2, j=None,
-        levels=[2, 4], tol=1e-12, fmt="csv", out=None,
+        levels=[2, 4], tol=1e-12,
     )
     config.validate()
     report = run_study(config)
@@ -105,6 +105,30 @@ def test_solve_key_value_lines(capsys):
     kv = dict(ln.split("=", 1) for ln in out.splitlines())
     assert set(kv) == {"n", "h", "err_triple", "err_2h", "err_l2"}
     assert float(kv["err_l2"]) > 0.0
+
+
+def test_solve_on_a_mesh_file_prints_its_row_n(tmp_path, capsys):
+    # A file is level 1, as in the study table, whatever --n says.
+    path = tmp_path / "tri2.txt"
+    assert main(["mesh", "--family", "tri", "--n", "2", "--out", str(path)]) == 0
+    code, out, _ = run_cli(capsys, "solve", "--mesh", f"file:{path}")
+    assert code == 0
+    assert out.splitlines()[0] == "n=1"
+    code, out, _ = run_cli(capsys, "solve", "--n", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "n=2"
+
+
+@pytest.mark.parametrize("family,n,message", [
+    ("tri", "0", "error: n must be >= 1"),
+    ("poly", "1", "error: n must be >= 2"),
+])
+def test_mesh_bad_n_exits_2(family, n, message, tmp_path, capsys):
+    out = tmp_path / "m.txt"
+    code, _, err = run_cli(capsys, "mesh", "--family", family, "--n", n, "--out", str(out))
+    assert code == 2
+    assert err.strip() == message
+    assert not out.exists()
 
 
 def test_mesh_subcommand_roundtrip(tmp_path, capsys):
@@ -150,6 +174,20 @@ def test_nonconvex_mesh_file_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", "--mesh", f"file:{path}")
     assert code == 2
     assert "not convex" in err
+
+
+def test_folded_mesh_file_exits_2(tmp_path, capsys):
+    # Cells 0 and 2 both run edge (0, 1) from vertex 0 to 1, so cell 2
+    # overlaps cell 0 instead of lying across the edge from it.
+    path = tmp_path / "folded.txt"
+    path.write_text(
+        "polymesh 1\nvertices 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.25\n"
+        "cells 3\n0 1 2\n2 3 0\n0 1 4\n"
+    )
+    code, out, err = run_cli(capsys, "solve", "--mesh", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert "cells 0 and 2 run their shared edge (0, 1) in the same direction" in err
 
 
 @pytest.mark.parametrize("vertices,message", [
@@ -236,8 +274,7 @@ def test_default_j():
 
 
 def test_study_config_validation():
-    base = dict(example=1, family="triangular", mesh_files=[], j=None,
-                tol=1e-12, fmt="csv", out=None)
+    base = dict(example=1, family="triangular", mesh_files=[], j=None, tol=1e-12)
     with pytest.raises(ConfigError):
         StudyConfig(k=1, levels=[2, 4], **base).validate()
     with pytest.raises(ConfigError):

@@ -211,6 +211,18 @@ def test_load_rejects_overshared_edge():
         load_mesh(io.StringIO(text))
 
 
+def test_load_rejects_folded_cells():
+    # Cells 0 and 2 are both CCW but run edge (0, 1) the same way, so they
+    # overlap; validate would report that edge's interior sigma sum as -2.
+    text = (
+        "polymesh 1\nvertices 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.25\n"
+        "cells 3\n0 1 2\n2 3 0\n0 1 4\n"
+    )
+    with pytest.raises(MeshTopologyError,
+                       match=r"^cells 0 and 2 run their shared edge \(0, 1\) in the same direction$"):
+        load_mesh(io.StringIO(text))
+
+
 def test_load_skips_comments_and_blanks():
     text = (
         "# a comment\npolymesh 1\n\nvertices 3  # trailing\n0 0\n1 0\n0 1\n"

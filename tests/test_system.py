@@ -16,7 +16,7 @@ from sfwg.system import (
     solve_biharmonic,
     weak_function_from_free,
 )
-from sfwg.weakop import interpolate_qh, local_dofs
+from sfwg.weakop import element_operators, interpolate_qh, local_dofs
 
 
 def zero_f(p):
@@ -49,6 +49,22 @@ def test_zero_load_gives_zero_solution():
     assert np.allclose(u.v0, 0.0)
     assert np.allclose(u.vb, 0.0)
     assert np.allclose(u.vn, 0.0)
+
+
+def test_load_uses_each_operators_own_j():
+    # Given operators, assemble integrates the load at their degree op.j,
+    # so the j argument does not change the system.
+    mesh = build_polygonal(3)
+    dm = build_dof_map(mesh, 2)
+    ops = element_operators(mesh, 2, 5)
+
+    def f(p):
+        return np.sin(3.0 * p[:, 0]) * np.exp(p[:, 1])
+
+    a = assemble(mesh, 2, 5, f, dm, ops=ops)
+    b = assemble(mesh, 2, 4, f, dm, ops=ops)
+    assert (a.A != b.A).nnz == 0
+    assert np.array_equal(a.b, b.b)
 
 
 def test_matrix_symmetric():

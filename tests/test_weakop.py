@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfwg.basis import EdgeBasis, dim_pk, from_legendre, legendre_table, legendre_values
+from sfwg.basis import dim_pk, edge_values, from_legendre, legendre_table, legendre_values
 from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
 from sfwg.quadrature import quad_cell, quad_edge
 from sfwg.weakop import (
@@ -128,9 +128,8 @@ def test_single_vb_column_against_independent_quadrature():
     e, sigma = stack.edges[0, 1], stack.sigma[0, 1]
     v = zero_weak(mesh, k)
     p0, p1 = mesh.edge_endpoints(e)
-    ebasis = EdgeBasis(k - 1, p0, p1)
     # constant-1 trace in the orthonormal edge basis
-    v.vb[e, 0] = 1.0 / ebasis.values(np.array([0.0]))[0, 0]
+    v.vb[e, 0] = 1.0 / edge_values(k - 1, p0, p1, np.array([0.0]))[0, 0]
 
     op = element_weak_laplacian(mesh, cell, k, j)
     coeff = apply_weak_laplacian(op, local(v, mesh, op))[0]
@@ -164,10 +163,9 @@ def test_flux_column_sign_tracks_sigma():
         op = element_weak_laplacian(mesh, cell, k, j)
         coeff = apply_weak_laplacian(op, local(v, mesh, op))[0]
         p0, p1 = mesh.edge_endpoints(e)
-        ebasis = EdgeBasis(k - 1, p0, p1)
         erule = quad_edge(p0, p1, 2 * j)
         vj = erule.weights @ (
-            ebasis.values(erule.params)[:, :1] * psi_tables(op, erule.points)[0]
+            edge_values(k - 1, p0, p1, erule.params)[:, :1] * psi_tables(op, erule.points)[0]
         )
         crule = quad_cell(mesh.cell_polygon(cell), 2 * j)
         vq = psi_tables(op, crule.points)[0]
