@@ -5,7 +5,7 @@ a + b <= m, in the coordinates (x', y') = (x - c) / (d / 2) of a cell with
 centroid c and diameter d, which keep the cell near [-1, 1]^2.  In the graded
 order of ``monomial_exponents`` the products of degree <= k lead those of
 degree j > k, so the P_k basis of v0 is the leading part of the P_j
-products V, which the weak Laplacian orthonormalizes per cell as V R^-1
+products V, which the weak Laplacian orthonormalizes per cell shape as V R^-1
 (``orthonormal_factor``, ``from_legendre``).  Edge bases are Legendre
 polynomials in arclength, orthonormal with respect to the edge line integral
 (``edge_values``), so an edge L2 projection is a plain inner product.
@@ -124,7 +124,7 @@ def orthonormal_factor(weighted):
 
     ``weighted`` is sqrt(w) V, the table V at a cell rule's points scaled
     by the square roots of the rule's weights w, (..., npts, dim); stacks
-    give one factor per cell.  Returns (R, ok), with ``ok`` false where the
+    give one factor per entry.  Returns (R, ok), with ``ok`` false where the
     table is numerically rank deficient.
     """
     r = np.linalg.qr(weighted, mode="r")

@@ -3,10 +3,11 @@
 ``study`` and ``solve`` (a study of one level) share their problem options
 and one runner; ``study`` and ``mesh`` write to ``--out`` or to stdout.
 
-Exit codes: 0 success, 2 configuration or mesh error, 3 solver failure.
+Exit codes: 0 success, 2 configuration, mesh or file error, 3 solver failure.
 """
 
 import argparse
+import contextlib
 import sys
 
 from .basis import SingularCellError
@@ -62,26 +63,24 @@ def _build_parser():
     return parser
 
 
-def _emit(path, write):
-    """Call ``write`` on the file at ``path``, or on stdout when it is None."""
-    if path is None:
-        write(sys.stdout)
-    else:
-        with open(path, "w", newline="") as fh:
-            write(fh)
+def _output(path):
+    """stdout, or the file at ``path`` opened for writing, as a context."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
-def _run(args, levels, write):
+def _run(args, levels, write, out=None):
     """Run the study that ``args`` describe at ``levels`` and pass its
-    report, complete or cut at a solver failure, to ``write``."""
+    report, complete or cut at a solver failure, to ``write`` with the
+    output stream, which is opened before the study runs."""
     family, files = _parse_mesh_flag(args.mesh)
     if args.command == "solve" and len(files) > 1:
         raise ConfigError("solve takes a single mesh file")
-    report = run_study(StudyConfig(
-        example=args.example, family=family, mesh_files=files,
-        k=args.k, j=args.j, levels=levels, tol=args.tol,
-    ))
-    write(report)
+    config = StudyConfig(example=args.example, family=family, mesh_files=files,
+                         k=args.k, j=args.j, levels=levels, tol=args.tol)
+    config.validate()
+    with _output(out) as fh:
+        report = run_study(config)
+        write(report, fh)
     if "error" in report.metadata:
         print(f"solver failure: {report.metadata['error']}", file=sys.stderr)
         return 3
@@ -93,23 +92,23 @@ def _cmd_study(args):
         levels = [int(t) for t in args.levels.split(",") if t]
     except ValueError:
         raise ConfigError(f"bad --levels value {args.levels!r}") from None
-    return _run(args, levels, lambda report: _emit(
-        args.out, lambda fh: write_report(report, args.fmt, fh)))
+    return _run(args, levels, lambda report, fh: write_report(report, args.fmt, fh), args.out)
 
 
 def _cmd_solve(args):
-    def print_rows(report):  # none after a solver failure
+    def print_rows(report, fh):  # none after a solver failure
         for row in report.rows:
-            print(f"n={row['n']}")
-            print(f"h={row['h']:.6e}")
+            print(f"n={row['n']}", file=fh)
+            print(f"h={row['h']:.6e}", file=fh)
             for key in ("err_triple", "err_2h", "err_l2"):
-                print(f"{key}={row[key]:.6e}")
+                print(f"{key}={row[key]:.6e}", file=fh)
     return _run(args, [args.n], print_rows)
 
 
 def _cmd_mesh(args):
     mesh = (build_triangular if args.family == "tri" else build_polygonal)(args.n)
-    _emit(args.out, lambda fh: dump_mesh(mesh, fh))
+    with _output(args.out) as fh:
+        dump_mesh(mesh, fh)
     return 0
 
 
@@ -119,7 +118,7 @@ def main(argv=None) -> int:
     handlers = {"study": _cmd_study, "solve": _cmd_solve, "mesh": _cmd_mesh}
     try:
         return handlers[args.command](args)
-    except (ConfigError, MeshError, SingularCellError, ValueError) as exc:
+    except (ConfigError, MeshError, SingularCellError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -4,11 +4,13 @@ A Mesh carries, besides vertices and cells, one fixed unit normal per edge
 (the lower-to-higher vertex-index tangent rotated by +90 degrees) and, per
 cell, the sign sigma = n_e . n_outward for each of its edges.  The weak
 operators consume exactly this data, from the mesh's stacks of cells with
-equal vertex counts.
+equal vertex counts.  Cells of a stack that are translates, with equal
+sigma, share a shape, and element data is built once per shape.
 """
 
+import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,6 +48,21 @@ class CellStack:
     p0: np.ndarray        # (nc, nv, 2) lower-index endpoint of each local edge
     p1: np.ndarray        # (nc, nv, 2) higher-index endpoint
     normal: np.ndarray    # (nc, nv, 2) outward unit normal sigma * n_e
+    shape: np.ndarray     # (nc,) shape label: equal for translates with equal sigma
+
+    def rows(self, rows):
+        """The stack of the given rows of this one."""
+        return CellStack(*(getattr(self, f.name)[rows] for f in fields(CellStack)))
+
+    @functools.cached_property
+    def shapes(self):
+        """(ref, of): a stack of the first cell of each shape, in order, and
+        the row ``of[c]`` of cell c's shape in it, which is the identity (and
+        ``ref`` shares the stack's arrays) when every cell has its own shape."""
+        _, first, of = np.unique(self.shape, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        ref = replace(self) if len(first) == len(of) else self.rows(first[order])
+        return ref, np.argsort(order)[of]
 
 
 @dataclass
@@ -94,8 +111,7 @@ def cell_stacks(mesh: Mesh, cells=None) -> list:
     if cells is None:
         return mesh.stacks
     keep = [np.isin(s.cells, cells) for s in mesh.stacks]
-    return [CellStack(*(getattr(s, f.name)[m] for f in fields(CellStack)))
-            for s, m in zip(mesh.stacks, keep) if m.any()]
+    return [s.rows(m) for s, m in zip(mesh.stacks, keep) if m.any()]
 
 
 def _cross(u, w):
@@ -106,6 +122,14 @@ def _outward(d):
     """Unit normals to the right of edge vectors d (..., 2): the outward
     normals of a CCW cell's edges."""
     return np.stack([d[..., 1], -d[..., 0]], axis=-1) / np.hypot(d[..., 0], d[..., 1])[..., None]
+
+
+def _shape_labels(polygons, sigma, diameter):
+    """Equal labels for cells of a stack with equal sigma and vertex offsets
+    from the first vertex that round alike to 64 ulps of the largest diameter."""
+    offsets = np.rint((polygons[:, 1:] - polygons[:, :1]) / (64 * np.spacing(diameter.max())))
+    key = np.concatenate([offsets.reshape(len(sigma), -1), sigma], axis=1).astype(np.int64)
+    return np.unique(key.view(f"V{key.itemsize * key.shape[1]}")[:, 0], return_inverse=True)[1]
 
 
 def _convex(polygons):
@@ -237,7 +261,8 @@ def _build(vertices, cells, diameter=None):
         edge_boundary=edge_cells[:, 1] < 0,
         edge_cells=edge_cells,
         stacks=[CellStack(sel, poly, half_edge[half], sigma[half], centroids[sel],
-                          diameters[sel], vertices[lo[half]], vertices[hi[half]], outward[half])
+                          diameters[sel], vertices[lo[half]], vertices[hi[half]], outward[half],
+                          _shape_labels(poly, sigma[half], diameters[sel]))
                 for sel, half, poly in groups],
         cell_area=area,
         cell_centroid=centroids,

@@ -61,21 +61,6 @@ def reference_triangle_rule(degree):
     return pts, w
 
 
-def triangle_rule(v0, v1, v2, degree):
-    """Rule on the physical triangle (v0, v1, v2), exact to ``degree``.
-
-    Vertices may be stacks (..., 2); points are then (..., npts, 2) and
-    weights (..., npts).
-    """
-    rp, rw = reference_triangle_rule(degree)
-    v0 = np.asarray(v0, dtype=float)[..., None, :]
-    e1 = np.asarray(v1, dtype=float)[..., None, :] - v0
-    e2 = np.asarray(v2, dtype=float)[..., None, :] - v0
-    det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
-    pts = v0 + rp[:, 0, None] * e1 + rp[:, 1, None] * e2
-    return pts, rw * abs(det)
-
-
 def quad_cell(polygon, degree):
     """Quadrature over a convex polygon, exact to ``degree``.
 
@@ -84,14 +69,16 @@ def quad_cell(polygon, degree):
     (..., nv, 2) of polygons with equal vertex counts, for which points are
     (..., npts, 2) and weights (..., npts).
     """
-    _check_degree(degree)
     polygon = np.asarray(polygon, dtype=float)
     if polygon.shape[-2] == 3:
-        fan = polygon[..., None, 0, :], polygon[..., None, 1, :], polygon[..., None, 2, :]
+        v0, v1, v2 = polygon[..., None, 0, :], polygon[..., None, 1, :], polygon[..., None, 2, :]
     else:
-        fan = (polygon_centroid(polygon)[..., None, :], polygon,
-               np.roll(polygon, -1, axis=-2))
-    pts, w = triangle_rule(*fan, degree)
+        v0, v1, v2 = polygon_centroid(polygon)[..., None, :], polygon, np.roll(polygon, -1, axis=-2)
+    # The reference rule mapped onto each triangle (v0, v1, v2) of the fan.
+    rp, rw = reference_triangle_rule(degree)
+    v0, e1, e2 = v0[..., None, :], (v1 - v0)[..., None, :], (v2 - v0)[..., None, :]
+    pts = v0 + rp[:, 0, None] * e1 + rp[:, 1, None] * e2
+    w = rw * abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
     lead = polygon.shape[:-2]
     return QuadratureRule(pts.reshape(lead + (-1, 2)), w.reshape(lead + (-1,)))
 

@@ -2,12 +2,11 @@
 ConvergenceReport and ``write_report`` formats it on a stream."""
 
 import io
-import math
 import os
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import ConvergenceReport, error_2h, error_l2, error_triple
+from .errors import ConvergenceReport, convergence_rates, error_2h, error_l2, error_triple
 from .mesh import build_polygonal, build_triangular, load_mesh
 from .solutions import builtin_solution
 from .system import SolverError, solve_biharmonic
@@ -66,16 +65,14 @@ class StudyConfig:
 
 
 def _meshes(config: StudyConfig):
-    if config.family == "triangular":
-        for n in config.levels:
-            yield n, build_triangular(n)
-    elif config.family == "polygonal":
-        for n in config.levels:
-            yield n, build_polygonal(n)
-    else:
+    if config.family == "files":
         for i, path in enumerate(config.mesh_files, start=1):
             with open(path) as fh:
                 yield i, load_mesh(fh)
+    else:
+        build = build_triangular if config.family == "triangular" else build_polygonal
+        for n in config.levels:
+            yield n, build(n)
 
 
 def run_study(config: StudyConfig) -> ConvergenceReport:
@@ -127,27 +124,15 @@ _COLUMNS = ("n", "h", "err_triple", "rate_triple", "err_2h", "rate_2h",
 def _formatted_rows(report):
     """Format rows so that rates are recomputable from the emitted errors."""
     out = []
-    prev = None
     for row in report.rows:
-        fmt = {
-            "n": str(row["n"]),
-            "h": f"{row['h']:.6e}",
-            "err_triple": f"{row['err_triple']:.6e}",
-            "err_2h": f"{row['err_2h']:.6e}",
-            "err_l2": f"{row['err_l2']:.6e}",
-        }
+        fmt = {"n": str(row["n"])}
+        fmt.update((c, f"{row[c]:.6e}") for c in ("h", "err_triple", "err_2h", "err_l2"))
         for key in ("triple", "2h", "l2"):
-            if prev is None:
-                fmt[f"rate_{key}"] = ""
-                continue
-            e0, e1 = float(prev[f"err_{key}"]), float(fmt[f"err_{key}"])
-            h0, h1 = float(prev["h"]), float(fmt["h"])
-            if e0 <= 0.0 or e1 <= 0.0:
-                fmt[f"rate_{key}"] = ""
-            else:
-                fmt[f"rate_{key}"] = f"{math.log(e0 / e1) / math.log(h0 / h1):.4f}"
+            rate = None if not out else convergence_rates(
+                [float(r[f"err_{key}"]) for r in (out[-1], fmt)],
+                [float(r["h"]) for r in (out[-1], fmt)])[0]
+            fmt[f"rate_{key}"] = "" if rate is None else f"{rate:.4f}"
         out.append(fmt)
-        prev = fmt
     return out
 
 

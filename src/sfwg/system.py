@@ -15,13 +15,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import dim_pk
-from .quadrature import at_points
 from .weakop import (
     WeakFunction,
     cell_rule_degree,
     cell_tables,
     element_operators,
     local_dofs,
+    on_cells,
+    per_cell,
     project_edge_data,
 )
 
@@ -84,8 +85,9 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
 
     ``ops`` is the list from ``element_operators(mesh, k, j)``, built here
     when not given; given, the load of each operator's cells is integrated
-    at its own P_j degree ``op.j`` and ``j`` is not read.  Stacks and their
-    cells are processed in a fixed order, so the result is bit-reproducible.
+    at its own P_j degree ``op.j`` and ``j`` is not read.  The local
+    stiffness is formed once per shape.  Stacks and their cells are
+    processed in a fixed order, so the result is bit-reproducible.
     """
     if ops is None:
         ops = element_operators(mesh, k, j)
@@ -95,10 +97,11 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
     b = np.zeros(n)
     for op in ops:
         stack = op.stack
+        ref, of = stack.shapes
         loc = local_dofs(mesh, stack, k)
         idx = dofmap.pos[loc]                          # (nc, nloc), -1 if constrained
         free = idx >= 0
-        ke = op.matrix.swapaxes(-1, -2) @ op.matrix    # (nc, nloc, nloc)
+        ke = (op.matrix.swapaxes(-1, -2) @ op.matrix)[of]  # (nc, nloc, nloc)
         pair = free[:, :, None] & free[:, None, :]
         rows.append(np.broadcast_to(idx[:, :, None], ke.shape)[pair])
         cols.append(np.broadcast_to(idx[:, None, :], ke.shape)[pair])
@@ -106,7 +109,9 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
 
         # Load (f, phi_i)_T on the v0 block, less the constrained columns.
         rhs = -(ke @ constrained[loc][..., None])[..., 0]
-        rhs[:, :dim_pk(k)] += _load(stack, k, op.j, f)
+        rule, phi = cell_tables(ref, k, cell_rule_degree(op.j))
+        wvt = (rule.weights[..., None] * phi).swapaxes(-1, -2)
+        rhs[:, :dim_pk(k)] += per_cell(wvt, of, on_cells(f, stack, rule))
         np.add.at(b, idx[free], rhs[free])
 
     A = sp.coo_matrix(
@@ -114,13 +119,6 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
         shape=(n, n),
     ).tocsr()
     return LinearSystem(A=A, b=b)
-
-
-def _load(stack, k, j, f):
-    """(f, phi_i)_T for the P_k basis of v0 on each cell of a stack, (nc, dim P_k);
-    its tables are freed on return, before assembly converts the triplets."""
-    rule, vals = cell_tables(stack, k, cell_rule_degree(j))
-    return np.einsum("cqi,cq->ci", vals, rule.weights * at_points(f, rule.points))
 
 
 def backward_error(system: LinearSystem, x) -> float:

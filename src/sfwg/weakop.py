@@ -15,8 +15,9 @@ with n the outward normal of T.  Since v_b is already in P_{k-1}(e),
 Qb(v0 - v_b) = Qb(v0) - v_b, and (v_n n_e) . n = sigma v_n with
 sigma = n_e . n, which is how the edge columns below get their signs.
 
-``cell_tables`` and ``edge_tables`` alone build a CellStack's rules and
-the tables at their points, from the geometry that the stack carries.
+``cell_tables`` and ``edge_tables`` alone build rules and the tables at
+their points, on the shapes of a CellStack (``CellStack.shapes``); per
+cell, ``on_cells`` evaluates a field and ``per_cell`` applies the tables.
 """
 
 from dataclasses import dataclass
@@ -71,6 +72,26 @@ def edge_tables(stack: CellStack, k: int, degree: int, rule_degree: int):
     return erule, chi, vals, gx
 
 
+def on_cells(f, stack: CellStack, rule):
+    """``f`` at the points of a rule on the stack's shapes, moved onto each
+    cell by the offset of its first vertex from its shape's, (nc, q)."""
+    ref, of = stack.shapes
+    return at_points(f, stack.polygons[:, :1] - ref.polygons[of, :1] + rule.points[of])
+
+
+def per_cell(mats, of, vecs):
+    """``mats[of[c]] @ vecs[c]`` for every cell c, (nc, m), from per-shape
+    matrices (S, m, n) and per-cell vectors (nc, n).  Unless ``of`` is the
+    identity, the matrices are gathered 2^18 numbers at a time at most."""
+    if len(mats) == len(of):
+        return (mats @ vecs[..., None])[..., 0]
+    out = np.empty((len(of), mats.shape[1]))
+    step = max(1, (1 << 18) // mats[0].size)
+    for a in range(0, len(of), step):
+        out[a:a + step] = (mats[of[a:a + step]] @ vecs[a:a + step, :, None])[..., 0]
+    return out
+
+
 @dataclass
 class WeakFunction:
     """Coefficient arrays of a weak function over a whole mesh."""
@@ -110,13 +131,14 @@ def local_dofs(mesh, stack: CellStack, k: int) -> np.ndarray:
 
 @dataclass
 class StackOperator:
-    """Matrix form of the weak Laplacian on every cell of one CellStack.
+    """Matrix form of the weak Laplacian on one CellStack, per shape: cell
+    c has row ``stack.shapes[1][c]``.
 
-    ``matrix`` (nc, dim P_j, nloc) maps each cell's local DOF vector (in the
+    ``matrix`` (S, dim P_j, nloc) maps a cell's local DOF vector (in the
     order of ``local_dofs``) to P_j(T) coefficients in psi = V R^-1, the
     basis orthonormal under the cell rule: V are the Legendre products of
-    degree ``j`` and ``r`` their QR factor from ``orthonormal_factor``.
-    The local stiffness block is matrix^T matrix.
+    degree ``j`` and ``r`` (S, dim P_j, dim P_j) their QR factor from
+    ``orthonormal_factor``.  The local stiffness block is matrix^T matrix.
     """
 
     stack: CellStack
@@ -141,25 +163,25 @@ def element_weak_laplacian(mesh, cell: int, k: int, j: int) -> StackOperator:
 
 
 def _stack_operator(stack, k, j):
-    """Operator of the cells of one CellStack.
+    """Operator of the shapes of one CellStack.
 
-    Every array below carries the cell as its leading axis; edge arrays
-    carry the cell's local edge as the second.
+    Every array below carries the shape as its leading axis; edge arrays
+    carry the shape's local edge as the second.
     """
     if j <= k:
         raise ValueError(f"lifting degree j={j} must exceed k={k}")
-    nc = len(stack.cells)
-    rule, vals = cell_tables(stack, j, cell_rule_degree(j))
+    shapes = stack.shapes[0]
+    rule, vals = cell_tables(shapes, j, cell_rule_degree(j))
     vals *= np.sqrt(rule.weights)[..., None]
     r, ok = orthonormal_factor(vals)
     del rule, vals  # the largest table: not held through the edge terms
     if not ok.all():
         raise SingularCellError(
-            f"P_{j} basis of cell {stack.cells[~ok][0]} is rank deficient under its quadrature rule"
+            f"P_{j} basis of cell {shapes.cells[~ok].min()} is rank deficient under its quadrature rule"
         )
     dk = dim_pk(k)
     # The products of degree k, which span v0, are the leading dk of degree j.
-    erule, chi, vj_e, gpsi_n = edge_tables(stack, k, j, edge_rule_degree(k, j))
+    erule, chi, vj_e, gpsi_n = edge_tables(shapes, k, j, edge_rule_degree(k, j))
 
     # Moments against the Legendre products of degree j, mapped to the
     # orthonormal basis psi by R^-T at the end.
@@ -173,16 +195,16 @@ def _stack_operator(stack, k, j):
     # coefficients of phi, <chi, phi>, lead those of psi
     r_v0 = (b_e.swapaxes(-1, -2) @ c_e[..., :dk] - g_e.swapaxes(-1, -2)).sum(axis=1)
     # per edge, v_b columns: - <chi, grad psi.n>; v_n columns: + sigma <chi, psi>
-    edge_cols = np.concatenate([-b_e, stack.sigma[..., None, None] * c_e], axis=-2)
+    edge_cols = np.concatenate([-b_e, shapes.sigma[..., None, None] * c_e], axis=-2)
     rhs = np.concatenate(
-        [r_v0, edge_cols.transpose(0, 3, 1, 2).reshape(nc, r_v0.shape[1], -1)], axis=-1
+        [r_v0, edge_cols.transpose(0, 3, 1, 2).reshape(r_v0.shape[:2] + (-1,))], axis=-1
     )
     matrix = from_legendre(r, rhs)
     # v0 columns: + (lap phi, psi)_T.  lap phi_i has Legendre coefficients
     # legendre_laplacian(k)[:, i] / h^2, and a P_j polynomial with Legendre
     # coefficients c has coefficients R c in psi, as psi = V R^-1.
     matrix[..., :dk] += (r[..., :dk] @ legendre_laplacian(k)
-                         / (0.25 * stack.diameter**2)[:, None, None])
+                         / (0.25 * shapes.diameter**2)[:, None, None])
     return StackOperator(stack, matrix, j, r)
 
 
@@ -190,10 +212,10 @@ def apply_weak_laplacian(op: StackOperator, dofs) -> np.ndarray:
     """P_j coefficients (nc, dim P_j) of the local DOF vectors ``dofs``
     (nc, nloc) of the operator's cells."""
     dofs = np.asarray(dofs, dtype=float)
-    nc, _, nloc = op.matrix.shape
+    nc, nloc = len(op.stack.cells), op.matrix.shape[-1]
     if dofs.shape != (nc, nloc):
         raise ValueError(f"expected {nc} x {nloc} local DOFs, got {dofs.shape}")
-    return (op.matrix @ dofs[..., None])[..., 0]
+    return per_cell(op.matrix, op.stack.shapes[1], dofs)
 
 
 def project_edge_data(mesh, edges, k: int, u=None, grad=None):
@@ -223,12 +245,12 @@ def interpolate_qh(u, grad_u, mesh, k: int) -> WeakFunction:
     """
     v0 = np.empty((mesh.n_cells, dim_pk(k)))
     for stack in cell_stacks(mesh):
-        rule, vals = cell_tables(stack, k, cell_rule_degree(k))
-        vt = vals.swapaxes(-1, -2)
-        mass = vt @ (rule.weights[..., None] * vals)
-        moments = vt @ (rule.weights * at_points(u, rule.points))[..., None]
+        ref, of = stack.shapes
+        rule, vals = cell_tables(ref, k, cell_rule_degree(k))
+        wvt = (rule.weights[..., None] * vals).swapaxes(-1, -2)
+        moments = per_cell(wvt, of, on_cells(u, stack, rule))
         try:
-            v0[stack.cells] = np.linalg.solve(mass, moments)[..., 0]
+            v0[stack.cells] = np.linalg.solve((wvt @ vals)[of], moments[..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SingularCellError(f"singular cell mass matrix: {exc}") from exc
     vb, vn = project_edge_data(mesh, np.arange(mesh.n_edges), k, u, grad_u)

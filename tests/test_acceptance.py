@@ -247,7 +247,8 @@ def test_criterion_8_norm_equivalence():
             v = weak_function_from_free(dm, rng.standard_normal(dm.n_free))
             for op in ops:
                 c = v.v0[op.stack.cells]
-                v.v0[op.stack.cells] = np.linalg.solve(op.r[:, :dk, :dk], c[..., None])[..., 0]
+                r_k = op.r[op.stack.shapes[1], :dk, :dk]  # each cell's shape
+                v.v0[op.stack.cells] = np.linalg.solve(r_k, c[..., None])[..., 0]
             x = v.flat()[free]
             energy = math.sqrt(max(float(x @ (system.A @ x)), 0.0))
             ratios.append(energy / norm_2h(v, mesh, k))

@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+import sfwg.cli
 import sfwg.study
 import sfwg.system
 from sfwg.cli import main
@@ -208,6 +209,20 @@ def test_missing_mesh_file_exits_2(command, tmp_path, capsys):
     code, _, err = run_cli(capsys, command, "--mesh", f"file:{tmp_path / 'none.txt'}")
     assert code == 2
     assert "mesh file not found" in err
+
+
+@pytest.mark.parametrize("command", [["study", "--levels", "2"], ["mesh", "--n", "2"]])
+def test_unwritable_out_exits_2_before_any_work(command, tmp_path, monkeypatch, capsys):
+    def refuse(config):
+        raise AssertionError("the study ran before --out was checked")
+
+    monkeypatch.setattr(sfwg.cli, "run_study", refuse)
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, err = run_cli(capsys, *command, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert not out.parent.exists()
 
 
 def test_nan_source_exits_3(monkeypatch, capsys):

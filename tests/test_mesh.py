@@ -352,3 +352,76 @@ def test_load_rejects_empty_mesh():
     text = "polymesh 1\nvertices 3\n0 0\n1 0\n0 1\ncells 0\n"
     with pytest.raises(MeshFormatError, match="^line 6: a mesh needs at least one cell$"):
         load_mesh(io.StringIO(text))
+
+
+def perturbed(mesh, seed, amplitude=0.1):
+    """The mesh read back from text after its interior vertices moved by up
+    to ``amplitude`` times the mesh size, so that no two cells are alike."""
+    rng = np.random.default_rng(seed)
+    v = mesh.vertices.copy()
+    inside = ((v > 0.0) & (v < 1.0)).all(axis=1)
+    v[inside] += rng.uniform(-amplitude, amplitude, (int(inside.sum()), 2)) * mesh.h
+    buf = io.StringIO()
+    dump_mesh(dataclasses.replace(mesh, vertices=v), buf)
+    return load_mesh(io.StringIO(buf.getvalue()))
+
+
+def shape_count(mesh):
+    return [len(s.shapes[0].cells) for s in mesh.stacks]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_triangular_levels_have_two_shapes(n):
+    assert shape_count(build_triangular(n)) == [2]
+
+
+def test_honeycomb_shapes():
+    # On the honeycomb's integer lattice the cells of n=32 have 4 distinct
+    # quadrilaterals, 3 pentagons and 2 hexagons (translates with equal sigma).
+    assert shape_count(build_polygonal(32)) == [4, 3, 2]
+
+
+@pytest.mark.parametrize("make", [build_triangular, build_polygonal])
+def test_perturbed_mesh_has_one_shape_per_cell(make):
+    m = perturbed(make(4), seed=3)
+    assert sum(shape_count(m)) == m.n_cells
+
+
+def test_shape_needs_equal_sigma_and_first_vertex():
+    # Four congruent triangles apart from one another: cell 1 is cell 0
+    # moved; cell 2 is too, but its vertex list starts at another corner;
+    # cell 3 is too, but its vertices are numbered the other way round, so
+    # that every sigma flips.
+    corners = np.array([[0.0, 0.0], [0.3, 0.1], [0.1, 0.2]])
+    vertices = np.concatenate([corners + [x, 0.0] for x in (0.0, 1.0, 2.0, 3.0)])
+    vertices[9:] = vertices[9:][::-1]
+    text = ("polymesh 1\nvertices 12\n" + "".join(f"{x} {y}\n" for x, y in vertices.tolist())
+            + "cells 4\n0 1 2\n3 4 5\n7 8 6\n11 10 9\n")
+    (s,) = load_mesh(io.StringIO(text)).stacks
+    assert s.sigma[3].tolist() == (-s.sigma[0]).tolist()
+    assert s.shape[0] == s.shape[1]
+    assert len({s.shape[0], s.shape[2], s.shape[3]}) == 3
+
+
+@pytest.mark.parametrize("mesh", [build_polygonal(8), perturbed(build_polygonal(4), seed=5)],
+                         ids=["poly", "perturbed"])
+def test_slices_agree_with_their_shapes(mesh):
+    pick = np.arange(0, mesh.n_cells, 3)
+    for s in mesh.stacks + cell_stacks(mesh, pick):
+        ref, of = s.shapes
+        # One row per shape: its first cell, in order.
+        assert np.array_equal(ref.cells, s.cells[np.unique(of, return_index=True)[1]])
+        assert np.array_equal(ref.shape[of], s.shape)
+        assert len(ref.cells) == len(np.unique(s.shape))
+        # Cell c is its shape's cell moved by the offset of its first vertex.
+        # Centroids carry the roundoff of polygon_centroid, up to a few
+        # 1e-12 of the diameter on the honeycomb.
+        move = s.polygons[:, :1] - ref.polygons[of, :1]
+        d = s.diameter.max()
+        assert np.array_equal(ref.sigma[of], s.sigma)
+        for got, want, tol in ((ref.polygons[of], s.polygons, 1e-14),
+                               (ref.p0[of], s.p0, 1e-14), (ref.p1[of], s.p1, 1e-14),
+                               (ref.centroid[of][:, None], s.centroid[:, None], 1e-11)):
+            assert np.allclose(got + move, want, rtol=0, atol=tol * d)
+        assert np.allclose(ref.diameter[of], s.diameter, rtol=1e-14, atol=0)
+        assert np.allclose(ref.normal[of], s.normal, rtol=0, atol=1e-14)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sfwg.quadrature import quad_cell, quad_edge
 from sfwg.weakop import (
     WeakFunction,
     apply_weak_laplacian,
+    element_operators,
     element_weak_laplacian,
     interpolate_qh,
     local_dofs,
@@ -230,3 +233,19 @@ def test_interpolation_error_rate():
         errs.append(np.sqrt(total))
     rate = np.log2(errs[0] / errs[1])
     assert rate == pytest.approx(k + 1, abs=0.2)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("builder,extra", [(build_triangular, 2), (build_polygonal, 4)])
+def test_shared_operator_matches_groups_of_one(builder, extra, k):
+    # The same code with every cell its own shape builds each cell's
+    # operator in its own frame; sharing may move only roundoff.
+    mesh = builder(8)
+    alone = dataclasses.replace(mesh, stacks=[
+        dataclasses.replace(s, shape=np.arange(len(s.cells))) for s in mesh.stacks])
+    for shared, own in zip(element_operators(mesh, k, k + extra),
+                           element_operators(alone, k, k + extra)):
+        assert len(shared.matrix) < len(own.matrix) == len(own.stack.cells)
+        got = shared.matrix[shared.stack.shapes[1]]
+        scale = np.abs(own.matrix).max(axis=(1, 2))
+        assert (np.abs(got - own.matrix).max(axis=(1, 2)) <= 1e-12 * scale).all()
