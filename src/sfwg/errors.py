@@ -9,8 +9,8 @@ Three functionals are reported per run:
   which the traces of the smooth field cancel;
 * the plain L2 error of the cell-interior part.
 
-Each builds its rules and tables once per shape of a stack and evaluates
-the exact solution per cell (``weakop.on_cells``).
+The first reads Pi_j lap u from the operators (``op.moments``); the others
+build rules and tables per shape and evaluate u per cell (``on_cells``).
 """
 
 import math
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import from_legendre, legendre_laplacian
+from .basis import dim_pk, from_legendre, legendre_laplacian
 from .mesh import cell_stacks
 from .weakop import (
     WeakFunction,
@@ -98,11 +98,8 @@ def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops=None):
     flat = u_h.flat()
     total = 0.0
     for op in ops:
-        ref, of = op.stack.shapes
-        rule, vals = cell_tables(ref, op.j, cell_rule_degree(op.j))
-        vals *= rule.weights[..., None]
-        moments = per_cell(vals.swapaxes(-1, -2), of, on_cells(exact.laplacian, op.stack, rule))
-        diff = (from_legendre(op.r[of], moments[..., None])[..., 0]
+        moments = op.moments(exact.laplacian, dim_pk(op.j))
+        diff = (from_legendre(op.r[op.stack.shapes[1]], moments[..., None])[..., 0]
                 - apply_weak_laplacian(op, flat[local_dofs(mesh, op.stack, k)]))
         total += float(np.sum(diff * diff))
     return math.sqrt(total)

@@ -126,8 +126,10 @@ def _outward(d):
 
 def _shape_labels(polygons, sigma, diameter):
     """Equal labels for cells of a stack with equal sigma and vertex offsets
-    from the first vertex that round alike to 64 ulps of the largest diameter."""
-    offsets = np.rint((polygons[:, 1:] - polygons[:, :1]) / (64 * np.spacing(diameter.max())))
+    from the first vertex that round alike to 2^-30 of the largest diameter.
+    Cells closer than that share an operator; translates differ only by
+    roundoff, near 1e-16 of it, so rounding this coarse seldom splits them."""
+    offsets = np.rint((polygons[:, 1:] - polygons[:, :1]) / (2.0**-30 * diameter.max()))
     key = np.concatenate([offsets.reshape(len(sigma), -1), sigma], axis=1).astype(np.int64)
     return np.unique(key.view(f"V{key.itemsize * key.shape[1]}")[:, 0], return_inverse=True)[1]
 

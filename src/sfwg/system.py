@@ -5,7 +5,7 @@ then v_b and v_n of every edge, with the constrained ones left out: the
 v_b/v_n DOFs of boundary edges.  These are zero for the clamped problem, or
 the edge projections of supplied boundary data (given relative to the
 fixed edge normal n_e), and their stiffness columns are moved to the
-right-hand side.
+right-hand side.  The load is read from the operators (``op.moments``).
 """
 
 from dataclasses import dataclass
@@ -15,16 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import dim_pk
-from .weakop import (
-    WeakFunction,
-    cell_rule_degree,
-    cell_tables,
-    element_operators,
-    local_dofs,
-    on_cells,
-    per_cell,
-    project_edge_data,
-)
+from .weakop import WeakFunction, element_operators, local_dofs, project_edge_data
 
 
 class SolverError(RuntimeError):
@@ -84,10 +75,10 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
     """Stiffness (Lw., Lw.) and load (f, v0) over free DOFs.
 
     ``ops`` is the list from ``element_operators(mesh, k, j)``, built here
-    when not given; given, the load of each operator's cells is integrated
-    at its own P_j degree ``op.j`` and ``j`` is not read.  The local
-    stiffness is formed once per shape.  Stacks and their cells are
-    processed in a fixed order, so the result is bit-reproducible.
+    when not given; given, the load is integrated under each operator's own
+    cell rule and ``j`` is not read.  The local stiffness is formed once per
+    shape.  Stacks and their cells are processed in a fixed order, so the
+    result is bit-reproducible.
     """
     if ops is None:
         ops = element_operators(mesh, k, j)
@@ -96,11 +87,10 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
     rows, cols, vals = [], [], []
     b = np.zeros(n)
     for op in ops:
-        stack = op.stack
-        ref, of = stack.shapes
-        loc = local_dofs(mesh, stack, k)
+        loc = local_dofs(mesh, op.stack, k)
         idx = dofmap.pos[loc]                          # (nc, nloc), -1 if constrained
         free = idx >= 0
+        of = op.stack.shapes[1]
         ke = (op.matrix.swapaxes(-1, -2) @ op.matrix)[of]  # (nc, nloc, nloc)
         pair = free[:, :, None] & free[:, None, :]
         rows.append(np.broadcast_to(idx[:, :, None], ke.shape)[pair])
@@ -109,9 +99,7 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
 
         # Load (f, phi_i)_T on the v0 block, less the constrained columns.
         rhs = -(ke @ constrained[loc][..., None])[..., 0]
-        rule, phi = cell_tables(ref, k, cell_rule_degree(op.j))
-        wvt = (rule.weights[..., None] * phi).swapaxes(-1, -2)
-        rhs[:, :dim_pk(k)] += per_cell(wvt, of, on_cells(f, stack, rule))
+        rhs[:, :dim_pk(k)] += op.moments(f, dim_pk(k))
         np.add.at(b, idx[free], rhs[free])
 
     A = sp.coo_matrix(

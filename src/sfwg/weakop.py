@@ -18,6 +18,8 @@ sigma = n_e . n, which is how the edge columns below get their signs.
 ``cell_tables`` and ``edge_tables`` alone build rules and the tables at
 their points, on the shapes of a CellStack (``CellStack.shapes``); per
 cell, ``on_cells`` evaluates a field and ``per_cell`` applies the tables.
+A StackOperator keeps its cell rule and table: ``StackOperator.moments``
+gives the load of ``system`` and Pi_j lap u of ``errors`` under them.
 """
 
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ from .basis import (
     orthonormal_factor,
 )
 from .mesh import CellStack, cell_stacks
-from .quadrature import at_points, quad_cell, quad_edge
+from .quadrature import QuadratureRule, at_points, quad_cell, quad_edge
 
 
 def cell_rule_degree(j: int) -> int:
@@ -136,15 +138,25 @@ class StackOperator:
 
     ``matrix`` (S, dim P_j, nloc) maps a cell's local DOF vector (in the
     order of ``local_dofs``) to P_j(T) coefficients in psi = V R^-1, the
-    basis orthonormal under the cell rule: V are the Legendre products of
-    degree ``j`` and ``r`` (S, dim P_j, dim P_j) their QR factor from
-    ``orthonormal_factor``.  The local stiffness block is matrix^T matrix.
+    basis orthonormal under the cell rule ``rule``: ``table`` (S, q, dim P_j)
+    is sqrt(w) V at its points, V the Legendre products of degree ``j``, and
+    ``r`` (S, dim P_j, dim P_j) its QR factor from ``orthonormal_factor``.
+    The local stiffness block is matrix^T matrix.
     """
 
     stack: CellStack
     matrix: np.ndarray
     j: int
     r: np.ndarray
+    rule: QuadratureRule
+    table: np.ndarray
+
+    def moments(self, f, m: int) -> np.ndarray:
+        """(f, V_i)_T for the leading ``m`` Legendre products of every cell,
+        (nc, m), under the operator's cell rule."""
+        of = self.stack.shapes[1]
+        g = on_cells(f, self.stack, self.rule) * np.sqrt(self.rule.weights)[of]
+        return per_cell(self.table[..., :m].swapaxes(-1, -2), of, g)
 
 
 def element_operators(mesh, k: int, j: int) -> list:
@@ -174,7 +186,6 @@ def _stack_operator(stack, k, j):
     rule, vals = cell_tables(shapes, j, cell_rule_degree(j))
     vals *= np.sqrt(rule.weights)[..., None]
     r, ok = orthonormal_factor(vals)
-    del rule, vals  # the largest table: not held through the edge terms
     if not ok.all():
         raise SingularCellError(
             f"P_{j} basis of cell {shapes.cells[~ok].min()} is rank deficient under its quadrature rule"
@@ -205,7 +216,7 @@ def _stack_operator(stack, k, j):
     # coefficients c has coefficients R c in psi, as psi = V R^-1.
     matrix[..., :dk] += (r[..., :dk] @ legendre_laplacian(k)
                          / (0.25 * shapes.diameter**2)[:, None, None])
-    return StackOperator(stack, matrix, j, r)
+    return StackOperator(stack, matrix, j, r, rule, vals)
 
 
 def apply_weak_laplacian(op: StackOperator, dofs) -> np.ndarray:

@@ -375,10 +375,27 @@ def test_triangular_levels_have_two_shapes(n):
     assert shape_count(build_triangular(n)) == [2]
 
 
+def lattice_shape_count(mesh, n):
+    """Shapes per stack of ``build_polygonal(n)``, counted exactly on its
+    integer lattice: x in steps of 1/(2n), y in steps of 1/(3m)."""
+    m = max(2, round(4 * n / 3))
+    counts = []
+    for s in mesh.stacks:
+        steps = np.rint((s.polygons[:, 1:] - s.polygons[:, :1]) * [2 * n, 3 * m])
+        key = np.concatenate([steps.reshape(len(s.cells), -1), s.sigma], axis=1)
+        counts.append(len(np.unique(key, axis=0)))
+    return counts
+
+
 def test_honeycomb_shapes():
-    # On the honeycomb's integer lattice the cells of n=32 have 4 distinct
-    # quadrilaterals, 3 pentagons and 2 hexagons (translates with equal sigma).
-    assert shape_count(build_polygonal(32)) == [4, 3, 2]
+    # Translates with equal sigma share a shape.  On the lattice the cells
+    # of n=32 have 4 distinct quadrilaterals, 3 pentagons and 2 hexagons,
+    # those of n=24 have 2, 4 and 2; no level may split a lattice shape.
+    assert lattice_shape_count(build_polygonal(32), 32) == [4, 3, 2]
+    assert lattice_shape_count(build_polygonal(24), 24) == [2, 4, 2]
+    for n in range(2, 65):
+        mesh = build_polygonal(n)
+        assert shape_count(mesh) == lattice_shape_count(mesh, n), f"n={n}"
 
 
 @pytest.mark.parametrize("make", [build_triangular, build_polygonal])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sfwg.basis import legendre_values
-from sfwg.errors import triple_bar_norm
+from sfwg.basis import dim_pk, from_legendre, legendre_values
+from sfwg.errors import error_triple, triple_bar_norm
 from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
 from sfwg.quadrature import quad_cell
 from sfwg.system import (
@@ -16,7 +16,17 @@ from sfwg.system import (
     solve_biharmonic,
     weak_function_from_free,
 )
-from sfwg.weakop import element_operators, interpolate_qh, local_dofs
+from sfwg.solutions import builtin_solution
+from sfwg.weakop import (
+    apply_weak_laplacian,
+    cell_rule_degree,
+    cell_tables,
+    element_operators,
+    interpolate_qh,
+    local_dofs,
+    on_cells,
+    per_cell,
+)
 
 
 def zero_f(p):
@@ -65,6 +75,37 @@ def test_load_uses_each_operators_own_j():
     b = assemble(mesh, 2, 4, f, dm, ops=ops)
     assert (a.A != b.A).nnz == 0
     assert np.array_equal(a.b, b.b)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("builder,extra", [(build_triangular, 2), (build_polygonal, 4)],
+                         ids=["tri", "poly"])
+def test_load_and_error_triple_read_the_operators_rule(builder, extra, k):
+    # The load and Pi_j lap u read each operator's own rule and table.  Both
+    # rebuilt here from the cell rule of degree cell_rule_degree(op.j) must
+    # agree to roundoff, so that no rule degree moved.
+    mesh, j = builder(4), k + extra
+    ex = builtin_solution(1)
+    dm = build_dof_map(mesh, k)
+    ops = element_operators(mesh, k, j)
+    system = assemble(mesh, k, j, ex.source, dm, ops=ops)
+    u_h = weak_function_from_free(dm, solve(system))
+    want_b, total = np.zeros(dm.n_free), 0.0
+    for op in ops:
+        ref, of = op.stack.shapes
+        loc = local_dofs(mesh, op.stack, k)
+        rule, vals = cell_tables(ref, op.j, cell_rule_degree(op.j))
+        wvt = (rule.weights[..., None] * vals).swapaxes(-1, -2)
+        # Clamped: every v0 DOF is free and no constrained column loads b.
+        np.add.at(want_b, dm.pos[loc[:, :dim_pk(k)]],
+                  per_cell(wvt[:, :dim_pk(k)], of, on_cells(ex.source, op.stack, rule)))
+        moments = per_cell(wvt, of, on_cells(ex.laplacian, op.stack, rule))
+        diff = (from_legendre(op.r[of], moments[..., None])[..., 0]
+                - apply_weak_laplacian(op, u_h.flat()[loc]))
+        total += float(np.sum(diff * diff))
+    assert np.abs(system.b - want_b).max() <= 1e-13 * np.abs(want_b).max()
+    assert error_triple(ex, u_h, mesh, k, j, ops=ops) == pytest.approx(np.sqrt(total),
+                                                                       rel=1e-13)
 
 
 def test_matrix_symmetric():

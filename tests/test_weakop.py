@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sfwg.basis import dim_pk, edge_values, from_legendre, legendre_table, legendre_values
+from sfwg.basis import (
+    dim_pk,
+    edge_values,
+    from_legendre,
+    legendre_table,
+    legendre_values,
+    monomial_exponents,
+)
 from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
 from sfwg.quadrature import quad_cell, quad_edge
 from sfwg.weakop import (
@@ -14,6 +21,7 @@ from sfwg.weakop import (
     interpolate_qh,
     local_dofs,
 )
+from test_mesh import perturbed
 
 
 def zero_weak(mesh, k):
@@ -249,3 +257,32 @@ def test_shared_operator_matches_groups_of_one(builder, extra, k):
         got = shared.matrix[shared.stack.shapes[1]]
         scale = np.abs(own.matrix).max(axis=(1, 2))
         assert (np.abs(got - own.matrix).max(axis=(1, 2)) <= 1e-12 * scale).all()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("make,extra", [(lambda: build_triangular(4), 2),
+                                        (lambda: build_polygonal(4), 4),
+                                        (lambda: perturbed(build_polygonal(4), seed=3), 4)],
+                         ids=["tri", "poly", "perturbed"])
+def test_moments_match_a_finer_rule(make, extra, k):
+    # f has degree j + 2, so the operator's rule is exact for f V_i and a
+    # rule of higher degree, built on each cell alone, gives the same
+    # moments, up to the roundoff of moving a shape's rule onto its cells.
+    # The perturbed mesh has one shape per cell (test_mesh checks seed 3).
+    mesh, j = make(), k + extra
+    ea, eb = monomial_exponents(j + 2)
+    coef = np.random.default_rng(k).standard_normal(len(ea))
+
+    def f(p):
+        return (p[:, :1] ** ea * p[:, 1:] ** eb) @ coef
+
+    for op in element_operators(mesh, k, j):
+        for m in (dim_pk(k), dim_pk(j)):
+            got = op.moments(f, m)
+            assert got.shape == (len(op.stack.cells), m)
+            for c, cell in enumerate(op.stack.cells):
+                rule = quad_cell(mesh.cell_polygon(cell), 2 * j + 6)
+                vals = legendre_values(rule.points, mesh.cell_centroid[cell],
+                                       mesh.cell_diameter[cell], j)[:, :m]
+                want = vals.T @ (rule.weights * f(rule.points))
+                assert np.abs(got[c] - want).max() <= 1e-12 * np.abs(want).max()
