@@ -1,7 +1,6 @@
 """Configuration-driven convergence studies: ``run_study`` computes a
 ConvergenceReport and ``write_report`` formats it on a stream."""
 
-import io
 import os
 from dataclasses import dataclass, field
 
@@ -151,12 +150,6 @@ def write_report(report: ConvergenceReport, fmt: str, stream):
             stream.write("| " + " | ".join(row[c] or "-" for c in _COLUMNS) + " |\n")
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-
-
-def report_to_string(report: ConvergenceReport, fmt: str = "csv") -> str:
-    buf = io.StringIO()
-    write_report(report, fmt, buf)
-    return buf.getvalue()
 
 
 def parse_provenance(text: str) -> dict:

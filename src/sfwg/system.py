@@ -1,11 +1,16 @@
 """Global DOF numbering, SPD assembly, and the sparse solve.
 
-Numbering: the DOFs of ``WeakFunction.flat`` in order, v0 of every cell,
-then v_b and v_n of every edge, with the constrained ones left out: the
-v_b/v_n DOFs of boundary edges.  These are zero for the clamped problem, or
-the edge projections of supplied boundary data (given relative to the
-fixed edge normal n_e), and their stiffness columns are moved to the
-right-hand side.  The load is read from the operators (``op.moments``).
+Numbering: the free DOFs are numbered in a nested-dissection order of the
+cells (George 1973; Lipton, Rose and Tarjan 1979; ``_dissection_ranks``),
+so ``assemble`` builds A in a fill-reducing order and ``solve`` factors it
+as given.  v0 couples only to its own cell's edges, so the edges cut
+between two groups of cells separate them exactly; each cut edge comes
+after both groups, and each cell's v0 before its edges.  Constrained
+DOFs are left out: the v_b/v_n DOFs of boundary edges.  These are zero for
+the clamped problem, or the edge projections of supplied boundary data
+(given relative to the fixed edge normal n_e), and their stiffness columns
+are moved to the right-hand side.  The load is read from the operators
+(``op.moments``).
 """
 
 from dataclasses import dataclass
@@ -26,7 +31,8 @@ class SolverError(RuntimeError):
 class DofMap:
     """Where each DOF of ``WeakFunction.flat`` sits among the free DOFs.
 
-    ``pos`` is the DOF's position in the free vector, or -1 where it is
+    ``pos`` is the DOF's position in the free vector, in the
+    nested-dissection order of ``build_dof_map``, or -1 where it is
     constrained; ``constrained`` holds the values of the constrained DOFs
     and zero at the free ones.
     """
@@ -59,8 +65,45 @@ def build_dof_map(mesh, k, g_d=None, g_n=None) -> DofMap:
     interior = np.repeat(~mesh.edge_boundary[:, None], k, axis=1)
     free = WeakFunction(k=k, v0=np.ones_like(constrained.v0, dtype=bool),
                         vb=interior, vn=interior).flat()
-    pos = np.where(free, np.cumsum(free) - 1, -1)
+    cell_rank, edge_rank = _dissection_ranks(mesh)
+    edge_rank = np.repeat(edge_rank[:, None], k, axis=1)
+    rank = WeakFunction(k=k, v0=np.repeat(cell_rank[:, None], dim_pk(k), axis=1),
+                        vb=edge_rank, vn=edge_rank).flat()
+    # The sort is stable, so a leaf's v0 comes before its uncut edges.
+    index = np.flatnonzero(free)
+    pos = np.full(len(free), -1)
+    pos[index[np.argsort(rank[index], kind="stable")]] = np.arange(len(index))
     return DofMap(pos=pos, constrained=constrained)
+
+
+def _dissection_ranks(mesh):
+    """Nested-dissection ranks of the cells and the edges.
+
+    The cells are bisected ceil(log2(n_cells / 2)) times, each group at the
+    median of its centroids along the longer side of their bounding box,
+    into 2**levels leaves of one or two cells.  A cell ranks with its leaf,
+    an edge with the lowest common ancestor of its two cells' groups, in
+    post-order of the bisection tree: a node ranks by the last leaf below
+    it, then by its height, so every node follows the leaves below it.
+    """
+    n = mesh.n_cells
+    levels = ((n + 1) // 2 - 1).bit_length()
+    order, size = np.arange(n), np.array([n])
+    for _ in range(levels):
+        group = np.repeat(np.arange(len(size)), size)
+        starts = np.cumsum(size) - size
+        c = mesh.cell_centroid[order]
+        extent = np.maximum.reduceat(c, starts) - np.minimum.reduceat(c, starts)
+        along = np.where((extent[:, 0] >= extent[:, 1])[group], c[:, 0], c[:, 1])
+        order = order[np.lexsort((along, group))]
+        size = np.array([size // 2, size - size // 2]).T.ravel()
+    leaf = np.empty(n, dtype=np.intp)
+    leaf[order] = np.repeat(np.arange(len(size)), size)
+
+    a, b = mesh.edge_cells.T
+    a, b = leaf[a], leaf[np.where(b < 0, a, b)]
+    height = np.frexp((a ^ b).astype(float))[1]       # bit length: 0 when a == b
+    return leaf * (levels + 1), (a | ((1 << height) - 1)) * (levels + 1) + height
 
 
 @dataclass
@@ -120,13 +163,16 @@ def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
     """Solve the reduced SPD system to a normwise backward error of ``tol``.
 
     The system is symmetrically equilibrated to unit diagonal and factored
-    in a minimum-degree order on A + Aᵀ with diagonal pivots only, which a
-    symmetric positive definite matrix allows.  Iterative refinement then
-    runs until ``backward_error`` meets ``tol``; the biharmonic stiffness is
-    too ill conditioned to trust a single factor-solve, and a residual
-    measured against ||b|| alone has a floor of eps * ||A|| ||x|| / ||b||,
-    which grows like h^-4.  ``SolverError`` is raised if the factorization
-    fails or ten refinement steps do not meet ``tol`` (a NaN included).
+    in the order it is given, with diagonal pivots only, which a symmetric
+    positive definite matrix allows.  The fill-reducing order is the
+    numbering of ``build_dof_map``, in which ``assemble`` builds A, so a
+    hand-built ``LinearSystem`` gets no fill-reducing order.  Iterative
+    refinement then runs until ``backward_error`` meets ``tol``; the
+    biharmonic stiffness is too ill conditioned to trust a single
+    factor-solve, and a residual measured against ||b|| alone has a floor
+    of eps * ||A|| ||x|| / ||b||, which grows like h^-4.  ``SolverError``
+    is raised if the factorization fails or ten refinement steps do not
+    meet ``tol`` (a NaN included).
     """
     n = system.A.shape[0]
     if float(np.linalg.norm(system.b)) == 0.0:
@@ -140,7 +186,7 @@ def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
     b_s = system.b / s
 
     try:
-        lu = spla.splu(a_s, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(a_s, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
@@ -158,7 +204,7 @@ def weak_function_from_free(dofmap: DofMap, x: np.ndarray) -> WeakFunction:
     """Expand a free-DOF vector into a WeakFunction, filling constrained DOFs."""
     full = dofmap.constrained.flat()
     free = dofmap.pos >= 0
-    full[free] = x
+    full[free] = x[dofmap.pos[free]]
     return WeakFunction.from_flat(dofmap.constrained.k, len(dofmap.constrained.v0), full)
 
 

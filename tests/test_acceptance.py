@@ -249,7 +249,8 @@ def test_criterion_8_norm_equivalence():
                 c = v.v0[op.stack.cells]
                 r_k = op.r[op.stack.shapes[1], :dk, :dk]  # each cell's shape
                 v.v0[op.stack.cells] = np.linalg.solve(r_k, c[..., None])[..., 0]
-            x = v.flat()[free]
+            x = np.empty(dm.n_free)
+            x[dm.pos[free]] = v.flat()[free]
             energy = math.sqrt(max(float(x @ (system.A @ x)), 0.0))
             ratios.append(energy / norm_2h(v, mesh, k))
         intervals.append((min(ratios), max(ratios)))

@@ -15,11 +15,17 @@ from sfwg.study import (
     default_j,
     parse_provenance,
     run_study,
-    report_to_string,
+    write_report,
 )
 from sfwg.system import SolverError
 
 CSV_HEADER = "n,h,err_triple,rate_triple,err_2h,rate_2h,err_l2,rate_l2"
+
+
+def report_to_string(report, fmt="csv"):
+    buf = io.StringIO()
+    write_report(report, fmt, buf)
+    return buf.getvalue()
 
 
 def run_cli(capsys, *argv):
