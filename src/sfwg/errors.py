@@ -105,11 +105,6 @@ def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops=None):
     return math.sqrt(total)
 
 
-def triple_bar_norm(v: WeakFunction, mesh, k, j):
-    """|||v||| for a discrete weak function."""
-    return error_triple(ZERO, v, mesh, k, j)
-
-
 def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
     """Broken H2 error of v = u - u_h.
 
@@ -145,11 +140,6 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
         t_flux = np.sum(w * flux * flux, axis=(1, 2)) / h_t
         total += float(np.sum(t_lap + t_jump + t_flux))
     return math.sqrt(max(total, 0.0))
-
-
-def norm_2h(v: WeakFunction, mesh, k):
-    """||v||_{2,h} for a discrete weak function."""
-    return error_2h(ZERO, v, mesh, k)
 
 
 def error_l2(exact: ExactSolution, u_h: WeakFunction, mesh):

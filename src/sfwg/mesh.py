@@ -93,14 +93,6 @@ class Mesh:
     def n_edges(self):
         return len(self.edges)
 
-    def cell_polygon(self, i):
-        return self.vertices[self.cells[i]]
-
-    def edge_endpoints(self, e):
-        """(p_lo, p_hi) with lo the lower global vertex index."""
-        a, b = self.edges[e]
-        return self.vertices[a], self.vertices[b]
-
 
 def cell_stacks(mesh: Mesh, cells=None) -> list:
     """The mesh's cells (or the given ones) grouped by vertex count.
@@ -228,14 +220,10 @@ def _build(vertices, cells, diameter=None):
     t /= length[:, None]
     normals = np.stack([-t[:, 1], t[:, 0]], axis=1)  # tangent rotated +90 degrees
 
-    # sigma = n_e . n_outward per half-edge; the two must be colinear.
+    # sigma = n_e . n_outward per half-edge: both normals come from the
+    # same two vertices, so the product is +-1 to a few ulps.
     n_out = _outward(vertices[flat[succ]] - vertices[flat])
     dot = (normals[half_edge] * n_out).sum(axis=1)
-    skew = np.abs(np.abs(dot) - 1.0) > 1e-9
-    if skew.any():
-        h = int(np.argmax(skew))
-        raise MeshTopologyError(
-            f"edge {half_edge[h]} normal not colinear with cell {cell_of[h]} outward normal")
     sigma = np.where(dot > 0, 1.0, -1.0)
     # Two CCW cells run an edge they share in opposite directions; cells
     # that run it the same way overlap, folded over the edge.
@@ -451,43 +439,48 @@ def dump_mesh(mesh: Mesh, stream):
 
 
 def validate(mesh: Mesh, unit_square: bool = True) -> list:
-    """Check every mesh invariant; returns a list of violation strings.
-
-    Cell data is read from the stored stacks, one stack at a time.
+    """Check that the mesh is what ``_build`` makes of its own vertices and
+    cells and, with ``unit_square``, that it covers the unit square.  The
+    report lists non-finite vertices, else the rebuild's error, else each
+    stored row, named by its cell or edge, that differs from the rebuilt one.
     """
     report = [f"vertex {v}: non-finite coordinate"
               for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))]
-    incidence = (mesh.edge_cells >= 0).sum(axis=1)
-    report += [f"edge {e}: incident to {incidence[e]} cells"
-               for e in np.flatnonzero((incidence < 1) | (incidence > 2))]
-    report += [f"edge {e}: boundary flag inconsistent with incidence"
-               for e in np.flatnonzero((incidence == 1) != mesh.edge_boundary)]
+    if report:
+        return report
+    try:
+        built = _build(mesh.vertices, mesh.cells, diameter=mesh.cell_diameter)
+    except MeshError as exc:
+        return [str(exc)]
 
-    sigma_sum = np.zeros(mesh.n_edges)
-    edge_faults, cell_faults = [], []  # (cell, message)
-    for s in mesh.stacks:
-        n_out = _outward(np.roll(s.polygons, -1, axis=1) - s.polygons)
-        unit = np.abs(s.sigma) == 1.0
-        off = np.linalg.norm(s.sigma[..., None] * mesh.edge_normal[s.edges] - n_out, axis=-1) > 1e-9
-        for bad, what in ((~unit, "|sigma| != 1"),
-                          (unit & off, "sigma*n_e does not match outward normal")):
-            edge_faults += [(s.cells[c], f"cell {s.cells[c]}, edge {s.edges[c, t]}: {what}")
-                            for c, t in zip(*np.nonzero(bad))]
-        interior = unit & ~mesh.edge_boundary[s.edges]
-        sigma_sum += np.bincount(s.edges[interior], s.sigma[interior], mesh.n_edges)
+    def compare(name, stored, rebuilt, lead, where):
+        """Report each row, over the first ``lead`` axes, at which the two differ."""
+        if np.shape(stored) != rebuilt.shape:
+            report.append(f"{name} has shape {np.shape(stored)}, rebuilt {rebuilt.shape}")
+            return
+        differ = (np.asarray(stored) != rebuilt).reshape(rebuilt.shape[:lead] + (-1,))
+        report.extend(f"{where(*i)}: {name} differs from the rebuilt mesh"
+                      for i in zip(*np.nonzero(differ.any(axis=-1))))
 
-        simple = _simple(s.polygons)
-        for bad, what in ((polygon_area(s.polygons) <= 0.0, "non-positive area"),
-                          (~simple, "non-simple polygon"),
-                          (simple & ~_convex(s.polygons), "non-convex polygon")):
-            cell_faults += [(i, f"cell {i}: {what}") for i in s.cells[bad]]
-    report += [m for _, m in sorted(edge_faults, key=lambda f: f[0])]
-    report += [f"edge {e}: interior sigma values sum to {sigma_sum[e]:g}"
-               for e in np.flatnonzero(sigma_sum)]
-    report += [m for _, m in sorted(cell_faults, key=lambda f: f[0])]
+    for name in ("edges", "edge_normal", "edge_boundary", "edge_cells"):
+        compare(name, getattr(mesh, name), getattr(built, name), 1, lambda e: f"edge {e}")
+    for name in ("cell_area", "cell_centroid", "cell_diameter"):
+        compare(name, getattr(mesh, name), getattr(built, name), 1, lambda c: f"cell {c}")
+    if mesh.h != built.h:
+        report.append(f"h is {mesh.h!r}, rebuilt {built.h!r}")
+    if len(mesh.stacks) != len(built.stacks):
+        report.append(f"{len(mesh.stacks)} stacks, rebuilt {len(built.stacks)}")
+    for stored, s in zip(mesh.stacks, built.stacks):
+        for name in (f.name for f in fields(CellStack)):
+            if name in ("edges", "sigma", "p0", "p1", "normal"):  # a row per local edge
+                compare(name, getattr(stored, name), getattr(s, name), 2,
+                        lambda c, t: f"cell {s.cells[c]}, edge {s.edges[c, t]}")
+            else:
+                compare(name, getattr(stored, name), getattr(s, name), 1,
+                        lambda c: f"cell {s.cells[c]}")
 
     if unit_square:
-        total = float(mesh.cell_area.sum())
+        total = float(built.cell_area.sum())
         if abs(total - 1.0) > AREA_TOL:
             report.append(f"cell areas sum to {total!r}, expected 1")
     return report

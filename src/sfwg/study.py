@@ -33,7 +33,15 @@ class StudyConfig:
     tol: float = 1e-12
 
     def effective_j(self):
-        return self.j if self.j is not None else default_j(self.k, self.family)
+        """j, or the default for the family; a files study is triangular
+        when every cell of every file is a triangle, else polygonal."""
+        if self.j is not None:
+            return self.j
+        family = self.family
+        if family == "files":
+            triangles = all(s.polygons.shape[1] == 3 for _, m in _meshes(self) for s in m.stacks)
+            family = "triangular" if triangles else "polygonal"
+        return default_j(self.k, family)
 
     def validate(self):
         if self.example not in (1, 2):
@@ -42,8 +50,8 @@ class StudyConfig:
             raise ConfigError(f"mesh family must be one of {FAMILIES}")
         if self.k < 2:
             raise ConfigError("k must be >= 2 (the scheme needs lap v0 and P_{k-1}(e))")
-        if self.effective_j() <= self.k:
-            raise ConfigError(f"j must exceed k, got j={self.effective_j()} k={self.k}")
+        if self.j is not None and self.j <= self.k:  # every default j exceeds k
+            raise ConfigError(f"j must exceed k, got j={self.j} k={self.k}")
         if self.family == "files":
             if not self.mesh_files:
                 raise ConfigError("mesh family 'files' needs at least one mesh file")

@@ -44,10 +44,6 @@ class DofMap:
     def n_free(self):
         return int(np.count_nonzero(self.pos >= 0))
 
-    @property
-    def n_total(self):
-        return len(self.pos)
-
 
 def build_dof_map(mesh, k, g_d=None, g_n=None) -> DofMap:
     """Number free DOFs and project boundary data onto constrained ones.

@@ -171,7 +171,7 @@ def test_projection_orthogonality_and_idempotence():
 def edge_of(mesh, a, b):
     """Index and (lo, hi) endpoints of the mesh edge between vertices a and b."""
     e = int(np.flatnonzero((mesh.edges == sorted((a, b))).all(axis=1))[0])
-    return e, *mesh.edge_endpoints(e)
+    return e, *mesh.vertices[mesh.edges[e]]
 
 
 def test_edge_basis_orthonormal():

@@ -285,6 +285,20 @@ def test_study_from_mesh_files(tmp_path, capsys):
     assert code == 0
     rows = [ln for ln in out.splitlines() if "," in ln and not ln.startswith("#")]
     assert len(rows) == 3
+    assert parse_provenance(out)["j"] == "4"
+
+    # Honeycomb files get the polygonal j, and the rows of the generated
+    # levels: the same vertices and cells give the same mesh.
+    paths = []
+    for n in (2, 4, 8):
+        p = tmp_path / f"poly{n}.txt"
+        assert main(["mesh", "--family", "poly", "--n", str(n), "--out", str(p)]) == 0
+        paths.append(str(p))
+    tables = [run_cli(capsys, "study", "--mesh", mesh, "--k", "2", "--levels", "2,4,8")[1]
+              for mesh in ("file:" + ",".join(paths), "poly")]
+    assert [parse_provenance(t)["j"] for t in tables] == ["6", "6"]
+    files, generated = ([ln.split(",")[1:] for ln in t.splitlines()[-3:]] for t in tables)
+    assert files == generated
 
 
 def test_default_j():

@@ -3,12 +3,11 @@ import pytest
 
 from sfwg.basis import dim_pk
 from sfwg.errors import (
+    ZERO,
     convergence_rates,
     error_2h,
     error_l2,
     error_triple,
-    norm_2h,
-    triple_bar_norm,
 )
 from sfwg.mesh import build_polygonal, build_triangular
 from sfwg.solutions import builtin_solution
@@ -110,18 +109,20 @@ def test_triple_norm_homogeneous():
         vn=rng.standard_normal((mesh.n_edges, k)),
     )
     w = WeakFunction(k=k, v0=3.0 * v.v0, vb=3.0 * v.vb, vn=3.0 * v.vn)
-    assert triple_bar_norm(w, mesh, k, 4) == pytest.approx(
-        3.0 * triple_bar_norm(v, mesh, k, 4), rel=1e-12
+    assert error_triple(ZERO, w, mesh, k, 4) == pytest.approx(
+        3.0 * error_triple(ZERO, v, mesh, k, 4), rel=1e-12
     )
-    assert norm_2h(w, mesh, k) == pytest.approx(3.0 * norm_2h(v, mesh, k), rel=1e-12)
+    assert error_2h(ZERO, w, mesh, k) == pytest.approx(
+        3.0 * error_2h(ZERO, v, mesh, k), rel=1e-12
+    )
 
 
 def test_norm_2h_zero_only_at_zero():
     mesh = build_triangular(2)
     z = zero_weak(mesh, 2)
-    assert norm_2h(z, mesh, 2) == 0.0
+    assert error_2h(ZERO, z, mesh, 2) == 0.0
     z.vb[0, 0] = 1.0
-    assert norm_2h(z, mesh, 2) > 0.0
+    assert error_2h(ZERO, z, mesh, 2) > 0.0
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -132,7 +133,7 @@ def test_norm_2h_vanishes_on_linear_interpolants(build, k):
     mesh = build(4)
     q = interpolate_qh(lambda p: 0.3 + 2.0 * p[:, 0] - 1.5 * p[:, 1],
                        lambda p: np.tile([2.0, -1.5], (len(p), 1)), mesh, k)
-    assert norm_2h(q, mesh, k) < 1e-9
+    assert error_2h(ZERO, q, mesh, k) < 1e-9
 
 
 def test_exact_interpolant_has_small_triple_error():

@@ -119,6 +119,11 @@ def test_generator_preconditions():
 def test_validate_clean_meshes():
     assert validate(build_triangular(4)) == []
     assert validate(build_polygonal(4)) == []
+    # The diameter build_triangular sets misses the computed one by an ulp
+    # at n = 3 and 5; a mesh read from text has no such override.
+    assert validate(build_triangular(3)) == []
+    assert validate(build_triangular(5)) == []
+    assert validate(perturbed(build_polygonal(4), seed=3)) == []
 
 
 def test_validate_reports_flipped_sigma():
@@ -139,6 +144,27 @@ def test_validate_area_sum_violation():
     report = validate(m)
     assert any("areas sum" in line for line in report)
     assert validate(m, unit_square=False) == []
+
+
+def _move_interior_vertices():
+    m = build_polygonal(4)
+    v = m.vertices.copy()
+    v[((v > 0.0) & (v < 1.0)).all(axis=1)] += 1e-3
+    m.vertices = v  # leaves every derived array as it was
+    return m, "polygons differs"
+
+
+def _move_a_centroid():
+    m = build_triangular(4)
+    m.stacks[0].centroid[3] += 0.1
+    return m, "cell 3: centroid differs"
+
+
+@pytest.mark.parametrize("stale", [_move_interior_vertices, _move_a_centroid],
+                         ids=["vertices", "centroid"])
+def test_validate_reports_stale_geometry(stale):
+    mesh, want = stale()
+    assert any(want in line for line in validate(mesh))
 
 
 def test_roundtrip_dump_load():
@@ -213,7 +239,7 @@ def test_load_rejects_overshared_edge():
 
 def test_load_rejects_folded_cells():
     # Cells 0 and 2 are both CCW but run edge (0, 1) the same way, so they
-    # overlap; validate would report that edge's interior sigma sum as -2.
+    # overlap: their sigma on that edge sum to -2 where they should cancel.
     text = (
         "polymesh 1\nvertices 5\n0 0\n1 0\n1 1\n0 1\n0.5 0.25\n"
         "cells 3\n0 1 2\n2 3 0\n0 1 4\n"

@@ -107,7 +107,7 @@ def test_polynomial_exactness(k, j, builder, n):
     v = interpolate_qh(u, grad_u, mesh, k)
     for cell in range(mesh.n_cells):
         op = element_weak_laplacian(mesh, cell, k, j)
-        pts = quad_cell(mesh.cell_polygon(cell), 4).points
+        pts = quad_cell(mesh.vertices[mesh.cells[cell]], 4).points
         got = lifted_values(op, local(v, mesh, op), pts)
         assert np.allclose(got, lap_u(pts), atol=1e-9)
 
@@ -138,7 +138,7 @@ def test_single_vb_column_against_independent_quadrature():
     (stack,) = cell_stacks(mesh, [cell])
     e, sigma = stack.edges[0, 1], stack.sigma[0, 1]
     v = zero_weak(mesh, k)
-    p0, p1 = mesh.edge_endpoints(e)
+    p0, p1 = mesh.vertices[mesh.edges[e]]
     # constant-1 trace in the orthonormal edge basis
     v.vb[e, 0] = 1.0 / edge_values(k - 1, p0, p1, np.array([0.0]))[0, 0]
 
@@ -152,7 +152,7 @@ def test_single_vb_column_against_independent_quadrature():
     _, gx, gy = psi_tables(op, erule.points)
     rhs = -((gx * n_out[0] + gy * n_out[1]).T @ erule.weights)
 
-    crule = quad_cell(mesh.cell_polygon(cell), 2 * j)
+    crule = quad_cell(mesh.vertices[mesh.cells[cell]], 2 * j)
     vj = psi_tables(op, crule.points)[0]
     mass = vj.T @ (crule.weights[:, None] * vj)
     assert np.allclose(mass @ coeff, rhs, atol=1e-12)
@@ -173,12 +173,12 @@ def test_flux_column_sign_tracks_sigma():
     for cell in (ca, cb):
         op = element_weak_laplacian(mesh, cell, k, j)
         coeff = apply_weak_laplacian(op, local(v, mesh, op))[0]
-        p0, p1 = mesh.edge_endpoints(e)
+        p0, p1 = mesh.vertices[mesh.edges[e]]
         erule = quad_edge(p0, p1, 2 * j)
         vj = erule.weights @ (
             edge_values(k - 1, p0, p1, erule.params)[:, :1] * psi_tables(op, erule.points)[0]
         )
-        crule = quad_cell(mesh.cell_polygon(cell), 2 * j)
+        crule = quad_cell(mesh.vertices[mesh.cells[cell]], 2 * j)
         vq = psi_tables(op, crule.points)[0]
         mass = vq.T @ (crule.weights[:, None] * vq)
         sigma = sigma_of(mesh, cell, e)
@@ -233,7 +233,7 @@ def test_interpolation_error_rate():
         v = interpolate_qh(u, grad_u, mesh, k)
         total = 0.0
         for cell in range(mesh.n_cells):
-            rule = quad_cell(mesh.cell_polygon(cell), 2 * k + 4)
+            rule = quad_cell(mesh.vertices[mesh.cells[cell]], 2 * k + 4)
             vals = legendre_values(rule.points, mesh.cell_centroid[cell],
                                    mesh.cell_diameter[cell], k)
             diff = u(rule.points) - vals @ v.v0[cell]
@@ -281,7 +281,7 @@ def test_moments_match_a_finer_rule(make, extra, k):
             got = op.moments(f, m)
             assert got.shape == (len(op.stack.cells), m)
             for c, cell in enumerate(op.stack.cells):
-                rule = quad_cell(mesh.cell_polygon(cell), 2 * j + 6)
+                rule = quad_cell(mesh.vertices[mesh.cells[cell]], 2 * j + 6)
                 vals = legendre_values(rule.points, mesh.cell_centroid[cell],
                                        mesh.cell_diameter[cell], j)[:, :m]
                 want = vals.T @ (rule.weights * f(rule.points))
