@@ -245,7 +245,7 @@ def _build(vertices, cells, diameter=None):
     outward = sigma[:, None] * normals[half_edge]
     return Mesh(
         vertices=vertices,
-        cells=np.split(flat, first[1:]),
+        cells=[flat[a:b] for a, b in zip(first.tolist(), (first + count).tolist())],
         edges=edges,
         edge_normal=normals,
         edge_boundary=edge_cells[:, 1] < 0,

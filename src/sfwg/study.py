@@ -19,6 +19,10 @@ class ConfigError(ValueError):
 
 
 def default_j(k: int, family: str) -> int:
+    """The default j of a generated mesh family: k+2 on triangles, k+4 on
+    the honeycomb.  A files study takes its family from its cells."""
+    if family not in ("triangular", "polygonal"):
+        raise ValueError(f"no default j for mesh family {family!r}")
     return k + 4 if family == "polygonal" else k + 2
 
 

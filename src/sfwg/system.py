@@ -10,7 +10,8 @@ DOFs are left out: the v_b/v_n DOFs of boundary edges.  These are zero for
 the clamped problem, or the edge projections of supplied boundary data
 (given relative to the fixed edge normal n_e), and their stiffness columns
 are moved to the right-hand side.  The load is read from the operators
-(``op.moments``).
+(``op.moments``).  Free positions are int32, the index type of the
+sparse matrices, so the assembly triplets need no conversion.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ class SolverError(RuntimeError):
 class DofMap:
     """Where each DOF of ``WeakFunction.flat`` sits among the free DOFs.
 
-    ``pos`` is the DOF's position in the free vector, in the
+    ``pos`` (int32) is the DOF's position in the free vector, in the
     nested-dissection order of ``build_dof_map``, or -1 where it is
     constrained; ``constrained`` holds the values of the constrained DOFs
     and zero at the free ones.
@@ -67,7 +68,7 @@ def build_dof_map(mesh, k, g_d=None, g_n=None) -> DofMap:
                         vb=edge_rank, vn=edge_rank).flat()
     # The sort is stable, so a leaf's v0 comes before its uncut edges.
     index = np.flatnonzero(free)
-    pos = np.full(len(free), -1)
+    pos = np.full(len(free), -1, dtype=np.int32)
     pos[index[np.argsort(rank[index], kind="stable")]] = np.arange(len(index))
     return DofMap(pos=pos, constrained=constrained)
 
@@ -104,7 +105,11 @@ def _dissection_ranks(mesh):
 
 @dataclass
 class LinearSystem:
-    """Reduced sparse system over free DOFs; boundary data already in b."""
+    """Reduced sparse system over free DOFs; boundary data already in b.
+
+    ``A`` is exactly symmetric, as ``assemble`` builds it, and ``solve``
+    relies on that.
+    """
 
     A: sp.csr_matrix
     b: np.ndarray
@@ -117,51 +122,70 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
     when not given; given, the load is integrated under each operator's own
     cell rule and ``j`` is not read.  The local stiffness is formed once per
     shape.  Stacks and their cells are processed in a fixed order, so the
-    result is bit-reproducible.
+    result is bit-reproducible.  The (row, column, value) triplets go,
+    with int32 indices, into arrays sized in advance, and one stack's
+    gathered element blocks are alive at a time.
     """
     if ops is None:
         ops = element_operators(mesh, k, j)
-    n = dofmap.n_free
+    n, dk = dofmap.n_free, dim_pk(k)
     constrained = dofmap.constrained.flat()
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
-    for op in ops:
-        loc = local_dofs(mesh, op.stack, k)
-        idx = dofmap.pos[loc]                          # (nc, nloc), -1 if constrained
+    locs = [local_dofs(mesh, op.stack, k) for op in ops]
+    idxs = [dofmap.pos[loc] for loc in locs]           # (nc, nloc), -1 if constrained
+    size = sum(int((np.count_nonzero(idx >= 0, axis=1) ** 2).sum()) for idx in idxs)
+    rows, cols = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    vals = np.empty(size)
+    b, start = np.zeros(n), 0
+    for op, loc, idx in zip(ops, locs, idxs):
         free = idx >= 0
         of = op.stack.shapes[1]
         ke = (op.matrix.swapaxes(-1, -2) @ op.matrix)[of]  # (nc, nloc, nloc)
         pair = free[:, :, None] & free[:, None, :]
-        rows.append(np.broadcast_to(idx[:, :, None], ke.shape)[pair])
-        cols.append(np.broadcast_to(idx[:, None, :], ke.shape)[pair])
-        vals.append(ke[pair])
+        stop = start + np.count_nonzero(pair)
+        rows[start:stop] = np.broadcast_to(idx[:, :, None], ke.shape)[pair]
+        cols[start:stop] = np.broadcast_to(idx[:, None, :], ke.shape)[pair]
+        vals[start:stop] = ke[pair]
+        start = stop
 
-        # Load (f, phi_i)_T on the v0 block, less the constrained columns.
-        rhs = -(ke @ constrained[loc][..., None])[..., 0]
-        rhs[:, :dim_pk(k)] += op.moments(f, dim_pk(k))
-        np.add.at(b, idx[free], rhs[free])
+        # Load (f, phi_i)_T on the v0 block, less the constrained columns,
+        # which only cells with a constrained DOF have.
+        rhs = np.zeros(idx.shape)
+        boundary = ~free.all(axis=1)
+        rhs[boundary] = -(ke[boundary] @ constrained[loc[boundary]][..., None])[..., 0]
+        rhs[:, :dk] += op.moments(f, dk)
+        # A DOF lies in one cell or on the edge of two, so no sum of b
+        # depends on the order in which the stacks add to it.
+        b += np.bincount(idx[free], weights=rhs[free], minlength=n)
+        del ke, pair
 
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return LinearSystem(A=A, b=b)
 
 
 def backward_error(system: LinearSystem, x) -> float:
-    """Normwise backward error ||Ax - b|| / (||A|| ||x|| + ||b||)."""
-    r = float(np.linalg.norm(system.A @ x - system.b))
-    anorm = float(abs(system.A).sum(axis=0).max())
+    """Normwise backward error ||Ax - b|| / (||A|| ||x|| + ||b||).
+
+    ||A|| is the 1-norm, taken as the largest row sum of |A|, which it is
+    for the symmetric A of ``assemble``.
+    """
+    A = system.A
+    r = float(np.linalg.norm(A @ x - system.b))
+    abs_a = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
+    anorm = float((abs_a @ np.ones(A.shape[1])).max())
     return r / (anorm * float(np.linalg.norm(x)) + float(np.linalg.norm(system.b)))
 
 
 def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
     """Solve the reduced SPD system to a normwise backward error of ``tol``.
 
-    The system is symmetrically equilibrated to unit diagonal and factored
-    in the order it is given, with diagonal pivots only, which a symmetric
-    positive definite matrix allows.  The fill-reducing order is the
-    numbering of ``build_dof_map``, in which ``assemble`` builds A, so a
+    A must be an exactly symmetric CSR matrix, as ``assemble`` builds it.
+    It is equilibrated to unit diagonal as D A D, D = diag(A)^-1/2, on A's
+    own index arrays read as CSC arrays, which they are only when A equals
+    its transpose (any other A is factored as its transpose, and only the
+    refinement, which measures the residual against A, catches that).  D A D
+    is factored in the order it is given, with diagonal pivots only, which a
+    symmetric positive definite matrix allows.  The fill-reducing order is
+    the numbering of ``build_dof_map``, in which ``assemble`` builds A, so a
     hand-built ``LinearSystem`` gets no fill-reducing order.  Iterative
     refinement then runs until ``backward_error`` meets ``tol``; the
     biharmonic stiffness is too ill conditioned to trust a single
@@ -170,15 +194,19 @@ def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
     is raised if the factorization fails or ten refinement steps do not
     meet ``tol`` (a NaN included).
     """
-    n = system.A.shape[0]
+    A = system.A
     if float(np.linalg.norm(system.b)) == 0.0:
-        return np.zeros(n)
+        return np.zeros(A.shape[0])
 
-    d = system.A.diagonal()
+    A.sum_duplicates()                     # splu would sort the shared indices
+    d = A.diagonal()
     if np.any(d <= 0.0):
         raise SolverError("non-positive diagonal entry; matrix not SPD")
     s = np.sqrt(d)
-    a_s = (sp.diags(1.0 / s) @ system.A @ sp.diags(1.0 / s)).tocsc()
+    # This order of products gives the values of (D A D).tocsc() bit for bit.
+    w = 1.0 / s
+    a_s = sp.csc_matrix(((w[A.indices] * A.data) * np.repeat(w, np.diff(A.indptr)),
+                         A.indices, A.indptr), shape=A.shape)
     b_s = system.b / s
 
     try:
@@ -186,9 +214,10 @@ def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    y = np.zeros(n)
-    for _ in range(11):                    # the solve, then up to ten refinements
-        y = y + lu.solve(b_s - a_s @ y)
+    y = lu.solve(b_s)
+    for step in range(11):                 # the solve, then up to ten refinements
+        if step:
+            y = y + lu.solve(b_s - a_s @ y)
         x = y / s
         err = backward_error(system, x)
         if err <= tol:

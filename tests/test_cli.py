@@ -305,7 +305,8 @@ def test_default_j():
     assert default_j(2, "triangular") == 4
     assert default_j(3, "triangular") == 5
     assert default_j(2, "polygonal") == 6
-    assert default_j(3, "files") == 5
+    with pytest.raises(ValueError):
+        default_j(3, "files")
 
 
 def test_study_config_validation():

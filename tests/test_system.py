@@ -316,6 +316,21 @@ def test_solve_raises_on_singular_psd_matrix():
         solve(system)
 
 
+def test_solve_takes_csr_with_unsorted_indices():
+    # The equilibrated matrix shares A's index arrays, and splu sorts the
+    # indices of what it is given in place; A must come out unchanged.
+    mesh = build_triangular(4)
+    dm = build_dof_map(mesh, 2)
+    system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm)
+    A = system.A
+    rev = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(A.indptr[:-1], A.indptr[1:])])
+    unsorted = sp.csr_matrix((A.data[rev], A.indices[rev], A.indptr.copy()), shape=A.shape)
+    assert not unsorted.has_sorted_indices
+    x = solve(LinearSystem(A=unsorted, b=system.b))
+    assert (unsorted != A).nnz == 0
+    assert np.array_equal(x, solve(system))
+
+
 def test_solve_matches_dense_solve():
     mesh = build_triangular(4)
     dm = build_dof_map(mesh, 2)
@@ -342,3 +357,108 @@ def test_energy_norm_positive_on_free_space(builder, j):
         assert error_triple(ZERO, v, mesh, k, j) == pytest.approx(
             np.sqrt(quad), rel=1e-9
         )
+
+
+# Reference forms of assembly and of the solve: int64 triplets gathered per
+# stack and concatenated, the load by np.add.at, and equilibration by sparse
+# products.  ``assemble`` and ``solve`` must reproduce them bit for bit.
+
+def _boundary_u(p):
+    return p[:, 0] ** 2 * p[:, 1] - p[:, 1] ** 3 + p[:, 0]
+
+
+def _boundary_grad(p):
+    return np.stack([2 * p[:, 0] * p[:, 1] + 1.0, p[:, 0] ** 2 - 3 * p[:, 1] ** 2], axis=-1)
+
+
+def reference_assemble(mesh, k, f, dm, ops):
+    n = dm.n_free
+    constrained = dm.constrained.flat()
+    rows, cols, vals = [], [], []
+    b = np.zeros(n)
+    for op in ops:
+        loc = local_dofs(mesh, op.stack, k)
+        idx = dm.pos[loc].astype(np.int64)
+        free = idx >= 0
+        ke = (op.matrix.swapaxes(-1, -2) @ op.matrix)[op.stack.shapes[1]]
+        pair = free[:, :, None] & free[:, None, :]
+        rows.append(np.broadcast_to(idx[:, :, None], ke.shape)[pair])
+        cols.append(np.broadcast_to(idx[:, None, :], ke.shape)[pair])
+        vals.append(ke[pair])
+        rhs = -(ke @ constrained[loc][..., None])[..., 0]
+        rhs[:, :dim_pk(k)] += op.moments(f, dim_pk(k))
+        np.add.at(b, idx[free], rhs[free])
+    A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+    return LinearSystem(A=A, b=b)
+
+
+def reference_backward_error(system, x):
+    r = float(np.linalg.norm(system.A @ x - system.b))
+    anorm = float(abs(system.A).sum(axis=0).max())
+    return r / (anorm * float(np.linalg.norm(x)) + float(np.linalg.norm(system.b)))
+
+
+def reference_solve(system, tol=1e-12):
+    s = np.sqrt(system.A.diagonal())
+    a_s = (sp.diags(1.0 / s) @ system.A @ sp.diags(1.0 / s)).tocsc()
+    b_s = system.b / s
+    lu = spla.splu(a_s, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    y = np.zeros(len(s))
+    for _ in range(11):
+        y = y + lu.solve(b_s - a_s @ y)
+        x = y / s
+        if reference_backward_error(system, x) <= tol:
+            return x
+    raise AssertionError("reference refinement did not converge")
+
+
+REFERENCE_MESHES = {
+    "tri8": (lambda: build_triangular(8), 2),
+    "honeycomb8": (lambda: build_polygonal(8), 4),
+    "perturbed4": (lambda: perturbed(build_polygonal(4), seed=3), 4),
+}
+
+
+def reference_case(name, k):
+    """A mesh, its DOF map with nonzero boundary data, its operators and
+    the system that ``assemble`` builds from them."""
+    make, extra = REFERENCE_MESHES[name]
+    mesh = make()
+    dm = build_dof_map(mesh, k, g_d=_boundary_u, g_n=_boundary_grad)
+    ops = element_operators(mesh, k, k + extra)
+    f = builtin_solution(1).source
+    return mesh, dm, ops, f, assemble(mesh, k, k + extra, f, dm, ops=ops)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", REFERENCE_MESHES)
+def test_assembled_matrix_is_exactly_symmetric(name, k):
+    # ``solve`` reads A's CSR arrays as CSC arrays, which needs A == A^T.
+    A = reference_case(name, k)[-1].A
+    assert (A != A.T).nnz == 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", REFERENCE_MESHES)
+def test_assemble_matches_int64_triplet_reference(name, k):
+    mesh, dm, ops, f, system = reference_case(name, k)
+    assert np.any(dm.constrained.flat() != 0.0)
+    want = reference_assemble(mesh, k, f, dm, ops)
+    for got, ref in [(system.A.indptr, want.A.indptr), (system.A.indices, want.A.indices),
+                     (system.A.data, want.A.data), (system.b, want.b)]:
+        assert _same_bits(got, ref)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", REFERENCE_MESHES)
+def test_solve_matches_scaled_product_reference(name, k):
+    system = reference_case(name, k)[-1]
+    x = solve(system)
+    assert _same_bits(x, reference_solve(system))
+    assert backward_error(system, x) == reference_backward_error(system, x)
