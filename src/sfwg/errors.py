@@ -139,7 +139,7 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
                 - np.einsum("ctqi,ci->ctq", grad_n, c0))
         t_flux = np.sum(w * flux * flux, axis=(1, 2)) / h_t
         total += float(np.sum(t_lap + t_jump + t_flux))
-    return math.sqrt(max(total, 0.0))
+    return math.sqrt(total)
 
 
 def error_l2(exact: ExactSolution, u_h: WeakFunction, mesh):
@@ -151,4 +151,4 @@ def error_l2(exact: ExactSolution, u_h: WeakFunction, mesh):
         rule, vals = cell_tables(ref, k, cell_rule_degree(k + 2))
         diff = on_cells(exact.u, stack, rule) - per_cell(vals, of, u_h.v0[stack.cells])
         total += float(np.sum(rule.weights[of] * diff * diff))
-    return math.sqrt(max(total, 0.0))
+    return math.sqrt(total)

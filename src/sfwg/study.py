@@ -37,13 +37,17 @@ class StudyConfig:
     tol: float = 1e-12
 
     def effective_j(self):
+        """j, or the family's default, as ``_j`` picks it."""
+        return self._j(_meshes(self))
+
+    def _j(self, meshes):
         """j, or the default for the family; a files study is triangular
-        when every cell of every file is a triangle, else polygonal."""
+        when every cell of every mesh of ``meshes`` is a triangle."""
         if self.j is not None:
             return self.j
         family = self.family
         if family == "files":
-            triangles = all(s.polygons.shape[1] == 3 for _, m in _meshes(self) for s in m.stacks)
+            triangles = all(s.polygons.shape[1] == 3 for _, m in meshes for s in m.stacks)
             family = "triangular" if triangles else "polygonal"
         return default_j(self.k, family)
 
@@ -94,7 +98,9 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     """
     config.validate()
     exact = builtin_solution(config.example)
-    k, j = config.k, config.effective_j()
+    # Files are loaded once, to pick j and to solve; levels are built in turn.
+    meshes = list(_meshes(config)) if config.family == "files" else _meshes(config)
+    k, j = config.k, config._j(meshes)
 
     report = ConvergenceReport(
         metadata={
@@ -109,7 +115,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
             "version": f"sfwg-{__version__}",
         }
     )
-    for n, mesh in _meshes(config):
+    for n, mesh in meshes:
         ops = element_operators(mesh, k, j)
         try:
             u_h = solve_biharmonic(

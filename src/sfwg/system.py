@@ -12,6 +12,9 @@ the clamped problem, or the edge projections of supplied boundary data
 are moved to the right-hand side.  The load is read from the operators
 (``op.moments``).  Free positions are int32, the index type of the
 sparse matrices, so the assembly triplets need no conversion.
+
+Solve: A factored as assembled, diagonal pivots, refinement to ``tol``.
+Diagonal pivots make a diagonal scaling of A inert, so none is applied.
 """
 
 from dataclasses import dataclass
@@ -178,47 +181,37 @@ def backward_error(system: LinearSystem, x) -> float:
 def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
     """Solve the reduced SPD system to a normwise backward error of ``tol``.
 
-    A must be an exactly symmetric CSR matrix, as ``assemble`` builds it.
-    It is equilibrated to unit diagonal as D A D, D = diag(A)^-1/2, on A's
-    own index arrays read as CSC arrays, which they are only when A equals
-    its transpose (any other A is factored as its transpose, and only the
-    refinement, which measures the residual against A, catches that).  D A D
-    is factored in the order it is given, with diagonal pivots only, which a
-    symmetric positive definite matrix allows.  The fill-reducing order is
-    the numbering of ``build_dof_map``, in which ``assemble`` builds A, so a
-    hand-built ``LinearSystem`` gets no fill-reducing order.  Iterative
-    refinement then runs until ``backward_error`` meets ``tol``; the
-    biharmonic stiffness is too ill conditioned to trust a single
-    factor-solve, and a residual measured against ||b|| alone has a floor
-    of eps * ||A|| ||x|| / ||b||, which grows like h^-4.  ``SolverError``
-    is raised if the factorization fails or ten refinement steps do not
-    meet ``tol`` (a NaN included).
+    A is factored as assembled, with diagonal pivots only, and refined to
+    ``tol``.  No scaling is needed: with diagonal pivots, eliminating D A D
+    gives A's factors scaled by D, exactly when D holds powers of two.
+    SuperLU is handed A's own arrays as CSC arrays, so A must be exactly
+    symmetric, as ``assemble`` builds it; any other A is factored as its
+    transpose, which only the refinement, measured against A, catches.
+    The factorization keeps the given order, the nested dissection of
+    ``build_dof_map``, so a hand-built ``LinearSystem`` gets no
+    fill-reducing order.  The biharmonic stiffness is too ill conditioned
+    to trust one factor-solve, and a residual measured against ||b|| alone
+    has a floor of eps ||A|| ||x|| / ||b||, which grows like h^-4.
+    ``SolverError`` is raised if the factorization fails or ten refinement
+    steps do not meet ``tol`` (a NaN included).
     """
     A = system.A
     if float(np.linalg.norm(system.b)) == 0.0:
         return np.zeros(A.shape[0])
 
     A.sum_duplicates()                     # splu would sort the shared indices
-    d = A.diagonal()
-    if np.any(d <= 0.0):
+    if np.any(A.diagonal() <= 0.0):
         raise SolverError("non-positive diagonal entry; matrix not SPD")
-    s = np.sqrt(d)
-    # This order of products gives the values of (D A D).tocsc() bit for bit.
-    w = 1.0 / s
-    a_s = sp.csc_matrix(((w[A.indices] * A.data) * np.repeat(w, np.diff(A.indptr)),
-                         A.indices, A.indptr), shape=A.shape)
-    b_s = system.b / s
-
     try:
-        lu = spla.splu(a_s, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+                       permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    y = lu.solve(b_s)
+    x = lu.solve(system.b)
     for step in range(11):                 # the solve, then up to ten refinements
         if step:
-            y = y + lu.solve(b_s - a_s @ y)
-        x = y / s
+            x += lu.solve(system.b - A @ x)
         err = backward_error(system, x)
         if err <= tol:
             return x

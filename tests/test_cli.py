@@ -301,6 +301,25 @@ def test_study_from_mesh_files(tmp_path, capsys):
     assert files == generated
 
 
+def test_study_loads_each_mesh_file_once(tmp_path, monkeypatch, capsys):
+    paths = []
+    for n in (2, 4):
+        p = tmp_path / f"tri{n}.txt"
+        assert main(["mesh", "--family", "tri", "--n", str(n), "--out", str(p)]) == 0
+        paths.append(str(p))
+    loaded = []
+
+    def counting_load_mesh(fh):
+        loaded.append(fh.name)
+        return load_mesh(fh)
+
+    monkeypatch.setattr(sfwg.study, "load_mesh", counting_load_mesh)
+    code, out, _ = run_cli(capsys, "study", "--mesh", "file:" + ",".join(paths), "--k", "2")
+    assert code == 0
+    assert loaded == paths
+    assert parse_provenance(out)["j"] == "4"
+
+
 def test_default_j():
     assert default_j(2, "triangular") == 4
     assert default_j(3, "triangular") == 5

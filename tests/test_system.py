@@ -128,13 +128,12 @@ def test_free_dofs_numbered_once_in_dissection_order(make_mesh, k):
 
 
 def test_numbering_cuts_fill():
-    # Factored as numbered, the equilibrated matrix fills less than under a
+    # Factored as numbered, the stiffness fills less than under a
     # minimum-degree order of the same matrix.
     mesh = build_triangular(32)
     dm = build_dof_map(mesh, 2)
     system = assemble(mesh, 2, 4, zero_f, dm)
-    s = sp.diags(1.0 / np.sqrt(system.A.diagonal()))
-    a = (s @ system.A @ s).tocsc()
+    a = system.A.tocsc()
     fill = {}
     for spec in ("NATURAL", "MMD_AT_PLUS_A"):
         lu = spla.splu(a, permc_spec=spec, diag_pivot_thresh=0.0,
@@ -317,8 +316,8 @@ def test_solve_raises_on_singular_psd_matrix():
 
 
 def test_solve_takes_csr_with_unsorted_indices():
-    # The equilibrated matrix shares A's index arrays, and splu sorts the
-    # indices of what it is given in place; A must come out unchanged.
+    # The factored matrix shares A's arrays, and splu sorts the indices of
+    # what it is given in place; A must come out unchanged.
     mesh = build_triangular(4)
     dm = build_dof_map(mesh, 2)
     system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm)
@@ -360,8 +359,9 @@ def test_energy_norm_positive_on_free_space(builder, j):
 
 
 # Reference forms of assembly and of the solve: int64 triplets gathered per
-# stack and concatenated, the load by np.add.at, and equilibration by sparse
-# products.  ``assemble`` and ``solve`` must reproduce them bit for bit.
+# stack and concatenated, the load by np.add.at, and the factorization of a
+# copy of A converted to CSC.  ``assemble`` and ``solve`` must reproduce
+# them bit for bit.
 
 def _boundary_u(p):
     return p[:, 0] ** 2 * p[:, 1] - p[:, 1] ** 3 + p[:, 0]
@@ -400,15 +400,12 @@ def reference_backward_error(system, x):
 
 
 def reference_solve(system, tol=1e-12):
-    s = np.sqrt(system.A.diagonal())
-    a_s = (sp.diags(1.0 / s) @ system.A @ sp.diags(1.0 / s)).tocsc()
-    b_s = system.b / s
-    lu = spla.splu(a_s, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+    a = system.A.tocsc(copy=True)
+    lu = spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                    options=dict(SymmetricMode=True))
-    y = np.zeros(len(s))
+    x = np.zeros(a.shape[0])
     for _ in range(11):
-        y = y + lu.solve(b_s - a_s @ y)
-        x = y / s
+        x = x + lu.solve(system.b - a @ x)
         if reference_backward_error(system, x) <= tol:
             return x
     raise AssertionError("reference refinement did not converge")
@@ -457,8 +454,23 @@ def test_assemble_matches_int64_triplet_reference(name, k):
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", REFERENCE_MESHES)
-def test_solve_matches_scaled_product_reference(name, k):
+def test_solve_matches_csc_copy_reference(name, k):
     system = reference_case(name, k)[-1]
     x = solve(system)
     assert _same_bits(x, reference_solve(system))
     assert backward_error(system, x) == reference_backward_error(system, x)
+
+
+@pytest.mark.parametrize("name,k", [("tri8", 2), ("honeycomb8", 3)])
+def test_solve_is_scale_equivariant(name, k):
+    # With diagonal pivots, eliminating D A D computes A's factors scaled by
+    # D, exactly when D holds powers of two; so a scaling changes no digit
+    # of the solution, and ``solve`` applies none.
+    system = reference_case(name, k)[-1]
+    A = system.A
+    d = np.ldexp(1.0, np.random.default_rng(14).integers(-8, 9, size=A.shape[0]))
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    dad = sp.csr_matrix((A.data * d[rows] * d[A.indices], A.indices.copy(), A.indptr.copy()),
+                        shape=A.shape)
+    x = solve(LinearSystem(A=dad, b=d * system.b)) * d
+    assert _same_bits(x, solve(system))
