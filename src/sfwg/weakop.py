@@ -259,10 +259,10 @@ def interpolate_qh(u, grad_u, mesh, k: int) -> WeakFunction:
         ref, of = stack.shapes
         rule, vals = cell_tables(ref, k, cell_rule_degree(k))
         wvt = (rule.weights[..., None] * vals).swapaxes(-1, -2)
-        moments = per_cell(wvt, of, on_cells(u, stack, rule))
         try:
-            v0[stack.cells] = np.linalg.solve((wvt @ vals)[of], moments[..., None])[..., 0]
+            proj = np.linalg.solve(wvt @ vals, wvt)
         except np.linalg.LinAlgError as exc:
             raise SingularCellError(f"singular cell mass matrix: {exc}") from exc
+        v0[stack.cells] = per_cell(proj, of, on_cells(u, stack, rule))
     vb, vn = project_edge_data(mesh, np.arange(mesh.n_edges), k, u, grad_u)
     return WeakFunction(k=k, v0=v0, vb=vb, vn=vn)

@@ -13,7 +13,7 @@ import pytest
 
 from sfwg.basis import dim_pk, legendre_values, monomial_exponents
 from sfwg.cli import main
-from sfwg.errors import ZERO, error_2h
+from sfwg.errors import ZERO, convergence_rates, error_2h
 from sfwg.mesh import build_polygonal, build_triangular
 from sfwg.quadrature import quad_cell
 from sfwg.study import StudyConfig, run_study
@@ -41,8 +41,9 @@ def _timed_study(**kwargs):
 
 
 def _final_rates(report):
-    row = report.rows[-1]
-    return row["rate_triple"], row["rate_2h"], row["rate_l2"]
+    prev, row = report.rows[-2:]
+    return tuple(convergence_rates([prev[key], row[key]], [prev["h"], row["h"]])[0]
+                 for key in ("err_triple", "err_2h", "err_l2"))
 
 
 @pytest.fixture(scope="module")

@@ -320,6 +320,18 @@ def test_study_loads_each_mesh_file_once(tmp_path, monkeypatch, capsys):
     assert parse_provenance(out)["j"] == "4"
 
 
+def test_study_of_equal_mesh_sizes_prints_empty_rates(tmp_path, capsys):
+    # Two files of one mesh: the second row has no defined rate.
+    p = tmp_path / "t4.txt"
+    assert main(["mesh", "--family", "tri", "--n", "4", "--out", str(p)]) == 0
+    code, out, _ = run_cli(capsys, "study", "--mesh", f"file:{p},{p}", "--k", "2")
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines() if "," in ln and not ln.startswith("#")]
+    assert len(rows) == 3  # header + two data rows
+    assert rows[1][1:] == rows[2][1:]
+    assert [rows[2][i] for i in (3, 5, 7)] == ["", "", ""]
+
+
 def test_default_j():
     assert default_j(2, "triangular") == 4
     assert default_j(3, "triangular") == 5

@@ -1,7 +1,10 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
-from sfwg.basis import dim_pk
+from sfwg.basis import dim_pk, legendre_laplacian
 from sfwg.errors import (
     ZERO,
     convergence_rates,
@@ -9,11 +12,22 @@ from sfwg.errors import (
     error_l2,
     error_triple,
 )
-from sfwg.mesh import build_polygonal, build_triangular
+from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
 from sfwg.solutions import builtin_solution
 from sfwg.study import StudyConfig, run_study
 from sfwg.system import solve_biharmonic
-from sfwg.weakop import WeakFunction, element_operators, interpolate_qh
+from sfwg.weakop import (
+    WeakFunction,
+    cell_rule_degree,
+    cell_tables,
+    edge_rule_degree,
+    edge_tables,
+    element_operators,
+    interpolate_qh,
+    on_cells,
+    per_cell,
+)
+from test_system import REFERENCE_MESHES
 
 
 def zero_weak(mesh, k):
@@ -36,6 +50,12 @@ def test_rates_multiple_and_none():
     assert convergence_rates([1.0, 0.0], [1.0, 0.5]) == [None]
     with pytest.raises(ValueError):
         convergence_rates([1.0], [1.0])
+
+
+def test_rates_of_equal_mesh_sizes_are_none():
+    # Two levels of one mesh: log(h/h) = 0 leaves the rate undefined.
+    assert convergence_rates([2.0, 1.0], [0.25, 0.25]) == [None]
+    assert convergence_rates([4.0, 1.0, 1.0], [1.0, 0.5, 0.5]) == [2.0, None]
 
 
 def test_rate_from_typical_error_pair():
@@ -185,3 +205,67 @@ def test_study_rows_equal_standalone_errors(family, builder, n):
     assert row["err_triple"] == error_triple(ex, u_h, mesh, k, j)
     assert row["err_2h"] == error_2h(ex, u_h, mesh, k)
     assert row["err_l2"] == error_l2(ex, u_h, mesh)
+
+
+def reference_error_2h(exact, u_h, mesh, k):
+    """``error_2h`` with its edge terms by edge quadrature, on the shapes'
+    edge tables gathered per cell."""
+    total = 0.0
+    for stack in cell_stacks(mesh):
+        ref, of = stack.shapes
+        c0 = u_h.v0[stack.cells]
+        h_t = stack.diameter
+        rule, vals = cell_tables(ref, k, cell_rule_degree(k + 2))
+        lap_h = vals @ legendre_laplacian(k) / (0.25 * ref.diameter[:, None, None] ** 2)
+        lap = on_cells(exact.laplacian, stack, rule) - per_cell(lap_h, of, c0)
+        t_lap = np.sum(rule.weights[of] * lap * lap, axis=-1)
+        erule, chi, vk, grad_n = edge_tables(ref, k, k, edge_rule_degree(k, k + 2))
+        w, chi, vk, grad_n = erule.weights[of], chi[of], vk[of], grad_n[of]
+        coeffs = u_h.vb[stack.edges] - np.einsum(
+            "ctqa,ctq->cta", chi, w * np.einsum("ctqi,ci->ctq", vk, c0))
+        t_jump = np.sum(coeffs * coeffs, axis=(1, 2)) / h_t**3
+        flux = (stack.sigma[..., None] * np.einsum("ctqa,cta->ctq", chi, u_h.vn[stack.edges])
+                - np.einsum("ctqi,ci->ctq", grad_n, c0))
+        t_flux = np.sum(w * flux * flux, axis=(1, 2)) / h_t
+        total += float(np.sum(t_lap + t_jump + t_flux))
+    return math.sqrt(total)
+
+
+def reference_v0(u, mesh, k):
+    """The v0 of ``interpolate_qh``: per cell, its gathered mass matrix
+    solved against the moments of u."""
+    v0 = np.empty((mesh.n_cells, dim_pk(k)))
+    for stack in cell_stacks(mesh):
+        ref, of = stack.shapes
+        rule, vals = cell_tables(ref, k, cell_rule_degree(k))
+        wvt = (rule.weights[..., None] * vals).swapaxes(-1, -2)
+        moments = per_cell(wvt, of, on_cells(u, stack, rule))
+        v0[stack.cells] = np.linalg.solve((wvt @ vals)[of], moments[..., None])[..., 0]
+    return v0
+
+
+@functools.lru_cache(maxsize=None)
+def solved_case(name, k):
+    """A mesh and the example-2 solution on it with its boundary data."""
+    make, extra = REFERENCE_MESHES[name]
+    mesh, ex = make(), builtin_solution(2)
+    return mesh, solve_biharmonic(mesh, k, k + extra, ex.source, boundary=(ex.u, ex.grad))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", REFERENCE_MESHES)
+def test_error_2h_matches_edge_quadrature_reference(name, k):
+    mesh, u_h = solved_case(name, k)
+    ex = builtin_solution(2)
+    assert error_2h(ex, u_h, mesh, k) == pytest.approx(
+        reference_error_2h(ex, u_h, mesh, k), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", REFERENCE_MESHES)
+def test_interpolant_matches_per_cell_mass_solve_reference(name, k):
+    mesh, ex = REFERENCE_MESHES[name][0](), builtin_solution(2)
+    # Relative to each cell's coefficient vector: its small coefficients
+    # differ by roundoff of the large ones.
+    got, want = interpolate_qh(ex.u, ex.grad, mesh, k).v0, reference_v0(ex.u, mesh, k)
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
