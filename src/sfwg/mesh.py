@@ -150,7 +150,7 @@ def _simple(polygons):
 
 
 # Why _build rejects a cell, in the order it checks them.  quad_cell fans a
-# cell from its centroid, which is exact only on convex cells.
+# cell from its first vertex, which is exact only on convex cells.
 _CELL_FAULTS = ("is not counter-clockwise (signed area {area:g})",
                 "is not a simple polygon", "is not convex")
 

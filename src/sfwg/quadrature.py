@@ -2,8 +2,8 @@
 
 Triangle rules are collapsed Gauss products (Duffy transform with a
 Gauss-Jacobi rule absorbing the Jacobian), which gives positive weights and
-exactness for any requested polynomial degree up to the cap.  Polygons are
-integrated by fanning triangles from the centroid.
+exactness for any requested polynomial degree up to the cap.  A convex
+polygon is integrated by fanning triangles from its first vertex.
 """
 
 import functools
@@ -22,7 +22,7 @@ class QuadratureDegreeError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points (npts, 2) and positive weights (npts,).
+    """Points (npts, 2) and non-negative weights (npts,).
 
     For edge rules ``params`` holds the arclength of each point measured
     from the first endpoint.
@@ -64,19 +64,17 @@ def reference_triangle_rule(degree):
 def quad_cell(polygon, degree):
     """Quadrature over a convex polygon, exact to ``degree``.
 
-    Triangles get the collapsed Gauss rule directly; larger polygons are
-    fanned from the centroid.  ``polygon`` is (nv, 2), or a stack
-    (..., nv, 2) of polygons with equal vertex counts, for which points are
-    (..., npts, 2) and weights (..., npts).
+    The reference rule is mapped onto each triangle (v_0, v_i, v_i+1),
+    i = 1 .. nv-2, of the fan from the first vertex (one of zero area, whose
+    points weigh 0, next to a straight vertex).  ``polygon`` is (nv, 2), or
+    a stack (..., nv, 2) of polygons with equal vertex counts, for which
+    points are (..., npts, 2) and weights (..., npts).
     """
     polygon = np.asarray(polygon, dtype=float)
-    if polygon.shape[-2] == 3:
-        v0, v1, v2 = polygon[..., None, 0, :], polygon[..., None, 1, :], polygon[..., None, 2, :]
-    else:
-        v0, v1, v2 = polygon_centroid(polygon)[..., None, :], polygon, np.roll(polygon, -1, axis=-2)
-    # The reference rule mapped onto each triangle (v0, v1, v2) of the fan.
     rp, rw = reference_triangle_rule(degree)
-    v0, e1, e2 = v0[..., None, :], (v1 - v0)[..., None, :], (v2 - v0)[..., None, :]
+    v0 = polygon[..., :1, None, :]
+    e1 = polygon[..., 1:-1, None, :] - v0
+    e2 = polygon[..., 2:, None, :] - v0
     pts = v0 + rp[:, 0, None] * e1 + rp[:, 1, None] * e2
     w = rw * abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
     lead = polygon.shape[:-2]

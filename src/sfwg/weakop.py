@@ -260,9 +260,10 @@ def interpolate_qh(u, grad_u, mesh, k: int) -> WeakFunction:
         rule, vals = cell_tables(ref, k, cell_rule_degree(k))
         wvt = (rule.weights[..., None] * vals).swapaxes(-1, -2)
         try:
-            proj = np.linalg.solve(wvt @ vals, wvt)
+            l_inv = np.linalg.inv(np.linalg.cholesky(wvt @ vals))  # V L^-T is orthonormal
         except np.linalg.LinAlgError as exc:
             raise SingularCellError(f"singular cell mass matrix: {exc}") from exc
-        v0[stack.cells] = per_cell(proj, of, on_cells(u, stack, rule))
+        v0[stack.cells] = per_cell(l_inv.swapaxes(-1, -2), of,
+                                   per_cell(l_inv @ wvt, of, on_cells(u, stack, rule)))
     vb, vn = project_edge_data(mesh, np.arange(mesh.n_edges), k, u, grad_u)
     return WeakFunction(k=k, v0=v0, vb=vb, vn=vn)

@@ -9,6 +9,7 @@ import sfwg.study
 import sfwg.system
 from sfwg.cli import main
 from sfwg.mesh import load_mesh
+from sfwg.quadrature import quad_cell
 from sfwg.study import (
     ConfigError,
     StudyConfig,
@@ -18,6 +19,7 @@ from sfwg.study import (
     write_report,
 )
 from sfwg.system import SolverError
+from test_quadrature import monomial_integral
 
 CSV_HEADER = "n,h,err_triple,rate_triple,err_2h,rate_2h,err_l2,rate_l2"
 
@@ -170,9 +172,33 @@ def test_config_errors_exit_2(argv, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_straight_vertex_mesh_file_solves(tmp_path, capsys):
+    # Two squares under a pentagon with a hanging node: the pentagon goes
+    # straight at its second vertex, so the first triangle of its fan has
+    # zero area and its points weigh 0.
+    path = tmp_path / "hanging.txt"
+    path.write_text(
+        "polymesh 1\nvertices 8\n0 0\n0.5 0\n1 0\n0 0.5\n0.5 0.5\n1 0.5\n0 1\n1 1\n"
+        "cells 3\n0 1 4 3\n1 2 5 4\n3 4 5 7 6\n"
+    )
+    code, out, _ = run_cli(capsys, "solve", "--mesh", f"file:{path}")
+    assert code == 0
+    errors = dict(line.split("=") for line in out.splitlines())
+    assert all(np.isfinite(float(errors[key])) for key in ("err_triple", "err_2h", "err_l2"))
+    with open(path) as fh:
+        mesh = load_mesh(fh)
+    pentagon = mesh.vertices[mesh.cells[2]]
+    rule = quad_cell(pentagon, 6)
+    assert rule.weights.min() == 0.0
+    for a in range(7):
+        for b in range(7 - a):
+            got = rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b)
+            assert got == pytest.approx(monomial_integral(pentagon, a, b), rel=1e-12)
+
+
 def test_nonconvex_mesh_file_exits_2(tmp_path, capsys):
-    # A CCW U-shaped octagon of area 7: the centroid fan of the cell
-    # quadrature would integrate it to 9.357.
+    # A CCW U-shaped octagon of area 7: the first-vertex fan of the cell
+    # quadrature would integrate it to 11.0.
     path = tmp_path / "u.txt"
     path.write_text(
         "polymesh 1\nvertices 8\n0 0\n3 0\n3 3\n2 3\n2 1\n1 1\n1 3\n0 3\n"

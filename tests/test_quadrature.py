@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sfwg.mesh import build_polygonal
 from sfwg.quadrature import (
     QuadratureDegreeError,
     polygon_area,
@@ -10,6 +11,7 @@ from sfwg.quadrature import (
     quad_edge,
     reference_triangle_rule,
 )
+from test_mesh import perturbed
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 HEXAGON = np.array(
@@ -50,18 +52,32 @@ def test_hexagon_area_matches_shoelace():
     assert (rule.weights > 0).all()
 
 
+def monomial_integral(polygon, a, b):
+    """int x^a y^b over a CCW polygon (nv, 2) by the divergence theorem, as
+    the boundary integral of x^(a+1) y^b / (a+1) dy, one Gauss rule per edge."""
+    p0, p1 = polygon, np.roll(polygon, -1, axis=0)
+    rule = quad_edge(p0, p1, a + b + 1)
+    d = p1 - p0
+    dy_ds = d[:, 1] / np.hypot(d[:, 0], d[:, 1])
+    x, y = rule.points[..., 0], rule.points[..., 1]
+    return float(np.sum(rule.weights * dy_ds[:, None] * x ** (a + 1) * y**b)) / (a + 1)
+
+
 def test_polygon_rule_exactness():
-    rule = quad_cell(HEXAGON, 6)
-    # Oracle: split the hexagon into triangles from a vertex (different
-    # decomposition than the centroid fan used by quad_cell).
-    for a, b in [(0, 0), (3, 2), (6, 0), (2, 4)]:
-        oracle = 0.0
-        for i in range(1, 5):
-            tri = np.array([HEXAGON[0], HEXAGON[i], HEXAGON[i + 1]])
-            r = quad_cell(tri, 6)
-            oracle += float(r.weights @ (r.points[:, 0] ** a * r.points[:, 1] ** b))
-        got = float(rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** b))
-        assert got == pytest.approx(oracle, rel=1e-12)
+    # A quad, a pentagon and a hexagon of the honeycomb, and an interior
+    # hexagon of a perturbed honeycomb.
+    cells = [s.polygons[0] for s in build_polygonal(4).stacks]
+    cells.append(perturbed(build_polygonal(4), seed=3).stacks[2].polygons[0])
+    for polygon in cells:
+        nv = len(polygon)
+        # A stack of the polygon started at each of its vertices: every fan.
+        rule = quad_cell(np.stack([np.roll(polygon, -s, axis=0) for s in range(nv)]), 6)
+        assert rule.weights.shape == (nv, (nv - 2) * len(reference_triangle_rule(6)[1]))
+        for a in range(7):
+            for b in range(7 - a):
+                got = np.sum(rule.weights * rule.points[..., 0] ** a * rule.points[..., 1] ** b,
+                             axis=-1)
+                np.testing.assert_allclose(got, monomial_integral(polygon, a, b), rtol=1e-12)
 
 
 def test_edge_rule_length():
