@@ -18,7 +18,6 @@ from .weakop import (
     WeakFunction,
     apply_weak_laplacian,
     element_operators,
-    element_weak_laplacian,
     interpolate_qh,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "convergence_rates",
     "dump_mesh",
     "element_operators",
-    "element_weak_laplacian",
     "error_2h",
     "error_l2",
     "error_triple",

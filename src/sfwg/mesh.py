@@ -76,7 +76,6 @@ class Mesh:
     edge_boundary: np.ndarray  # (ne,) bool
     edge_cells: np.ndarray     # (ne, 2) incident cells in increasing order, -1 if none
     stacks: list               # CellStacks, in increasing vertex count
-    cell_area: np.ndarray
     cell_centroid: np.ndarray
     cell_diameter: np.ndarray
     h: float
@@ -94,16 +93,10 @@ class Mesh:
         return len(self.edges)
 
 
-def cell_stacks(mesh: Mesh, cells=None) -> list:
-    """The mesh's cells (or the given ones) grouped by vertex count.
-
-    Stacks come in increasing vertex count, cells within one in increasing
-    index.  Without ``cells`` these are the stacks stored at build.
-    """
-    if cells is None:
-        return mesh.stacks
-    keep = [np.isin(s.cells, cells) for s in mesh.stacks]
-    return [s.rows(m) for s, m in zip(mesh.stacks, keep) if m.any()]
+def cell_stacks(mesh: Mesh) -> list:
+    """The mesh's cells grouped by vertex count: the stacks stored at build,
+    in increasing vertex count, cells within one in increasing index."""
+    return mesh.stacks
 
 
 def _cross(u, w):
@@ -158,10 +151,11 @@ _CELL_FAULTS = ("is not counter-clockwise (signed area {area:g})",
 def _build(vertices, cells, diameter=None):
     """Derive all edge/cell data from vertices and CCW cell cycles.
 
-    Cells have at least 3 distinct vertex indices (``load_mesh`` checks
-    this).  They are checked and measured one stack of equal vertex count
-    at a time.  Half-edge arrays run over (cell, local edge) in order;
-    edges are numbered in order of first appearance there.
+    Cells have at least 3 distinct vertex indices, each in range
+    (``load_mesh`` checks this).  They are checked and measured one stack
+    of equal vertex count at a time.  Half-edge arrays run over (cell,
+    local edge) in order; edges are numbered in order of first appearance
+    there.
     """
     vertices = np.asarray(vertices, dtype=float)
     count = np.fromiter(map(len, cells), np.intp, len(cells))
@@ -254,7 +248,6 @@ def _build(vertices, cells, diameter=None):
                           diameters[sel], vertices[lo[half]], vertices[hi[half]], outward[half],
                           _shape_labels(poly, sigma[half], diameters[sel]))
                 for sel, half, poly in groups],
-        cell_area=area,
         cell_centroid=centroids,
         cell_diameter=diameters,
         h=float(diameters.max()),
@@ -438,14 +431,18 @@ def dump_mesh(mesh: Mesh, stream):
         stream.write(" ".join(str(int(v)) for v in c) + "\n")
 
 
-def validate(mesh: Mesh, unit_square: bool = True) -> list:
+def validate(mesh: Mesh) -> list:
     """Check that the mesh is what ``_build`` makes of its own vertices and
-    cells and, with ``unit_square``, that it covers the unit square.  The
-    report lists non-finite vertices, else the rebuild's error, else each
-    stored row, named by its cell or edge, that differs from the rebuilt one.
+    cells, and that it covers the unit square.  The report lists non-finite
+    vertices and cells with a vertex index out of range, else the rebuild's
+    error, else each stored row, named by its cell or edge, that differs
+    from the rebuilt one.
     """
+    n = mesh.n_vertices
     report = [f"vertex {v}: non-finite coordinate"
               for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))]
+    report += [f"cell {c}: vertex index out of range for {n} vertices"
+               for c, cell in enumerate(mesh.cells) if not all(0 <= v < n for v in cell)]
     if report:
         return report
     try:
@@ -464,7 +461,7 @@ def validate(mesh: Mesh, unit_square: bool = True) -> list:
 
     for name in ("edges", "edge_normal", "edge_boundary", "edge_cells"):
         compare(name, getattr(mesh, name), getattr(built, name), 1, lambda e: f"edge {e}")
-    for name in ("cell_area", "cell_centroid", "cell_diameter"):
+    for name in ("cell_centroid", "cell_diameter"):
         compare(name, getattr(mesh, name), getattr(built, name), 1, lambda c: f"cell {c}")
     if mesh.h != built.h:
         report.append(f"h is {mesh.h!r}, rebuilt {built.h!r}")
@@ -479,8 +476,7 @@ def validate(mesh: Mesh, unit_square: bool = True) -> list:
                 compare(name, getattr(stored, name), getattr(s, name), 1,
                         lambda c: f"cell {s.cells[c]}")
 
-    if unit_square:
-        total = float(built.cell_area.sum())
-        if abs(total - 1.0) > AREA_TOL:
-            report.append(f"cell areas sum to {total!r}, expected 1")
+    total = float(sum(polygon_area(s.polygons).sum() for s in built.stacks))
+    if abs(total - 1.0) > AREA_TOL:
+        report.append(f"cell areas sum to {total!r}, expected 1")
     return report

@@ -169,11 +169,6 @@ def element_operators(mesh, k: int, j: int) -> list:
     return [_stack_operator(stack, k, j) for stack in cell_stacks(mesh)]
 
 
-def element_weak_laplacian(mesh, cell: int, k: int, j: int) -> StackOperator:
-    """The operator of one cell, as a one-cell stack."""
-    return _stack_operator(cell_stacks(mesh, [cell])[0], k, j)
-
-
 def _stack_operator(stack, k, j):
     """Operator of the shapes of one CellStack.
 

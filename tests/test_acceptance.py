@@ -22,7 +22,6 @@ from sfwg.weakop import (
     apply_weak_laplacian,
     cell_rule_degree,
     element_operators,
-    element_weak_laplacian,
     interpolate_qh,
     local_dofs,
 )
@@ -155,28 +154,30 @@ def test_criterion_5_operator_exactness():
     for mesh, family in ((build_triangular(4), "tri"), (build_polygonal(4), "poly")):
         for k in (2, 3):
             j = k + (2 if family == "tri" else 4)
-            ops = [element_weak_laplacian(mesh, c, k, j) for c in range(mesh.n_cells)]
+            ops = element_operators(mesh, k, j)
             for _ in range(10):
                 u, grad, lap = _random_polynomial(rng, k)
                 v = interpolate_qh(u, grad, mesh, k)
                 cell_errs = []
                 den2 = 0.0
-                for cell, op in enumerate(ops):
-                    # Pi_j lap u by weighted least squares in the Legendre
-                    # products V, mapped by R to the operator's orthonormal
-                    # basis psi = V R^-1.
-                    rule = quad_cell(mesh.vertices[mesh.cells[cell]], cell_rule_degree(j))
-                    sw = np.sqrt(rule.weights)
-                    vals = legendre_values(rule.points, mesh.cell_centroid[cell],
-                                           mesh.cell_diameter[cell], j)
-                    coeffs = np.linalg.lstsq(sw[:, None] * vals, sw * lap(rule.points),
-                                             rcond=None)[0]
-                    proj = op.r[0] @ coeffs
-                    diff = proj - apply_weak_laplacian(
-                        op, v.flat()[local_dofs(mesh, op.stack, k)])[0]
-                    # psi is orthonormal: coefficient norms are L2(T) norms
-                    cell_errs.append(float(np.linalg.norm(diff)))
-                    den2 += float(np.sum(proj * proj))
+                for op in ops:
+                    lifted = apply_weak_laplacian(op, v.flat()[local_dofs(mesh, op.stack, k)])
+                    for c, cell in enumerate(op.stack.cells):
+                        # Pi_j lap u by weighted least squares on the cell's
+                        # own rule in the Legendre products V, mapped by the
+                        # R of the cell's shape to the operator's orthonormal
+                        # basis psi = V R^-1.
+                        rule = quad_cell(mesh.vertices[mesh.cells[cell]], cell_rule_degree(j))
+                        sw = np.sqrt(rule.weights)
+                        vals = legendre_values(rule.points, mesh.cell_centroid[cell],
+                                               mesh.cell_diameter[cell], j)
+                        coeffs = np.linalg.lstsq(sw[:, None] * vals, sw * lap(rule.points),
+                                                 rcond=None)[0]
+                        proj = op.r[op.stack.shapes[1][c]] @ coeffs
+                        diff = proj - lifted[c]
+                        # psi is orthonormal: coefficient norms are L2(T) norms
+                        cell_errs.append(float(np.linalg.norm(diff)))
+                        den2 += float(np.sum(proj * proj))
                 # per-cell error relative to the field scale; a purely local
                 # denominator is meaningless on cells where the Laplacian
                 # happens to be tiny

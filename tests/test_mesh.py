@@ -55,9 +55,9 @@ def test_refinement_halves_h_exactly(n):
 @pytest.mark.parametrize("make", [build_triangular, build_polygonal])
 def test_areas_partition_unit_square(make):
     for n in (2, 4, 16):
-        m = make(n)
-        assert abs(m.cell_area.sum() - 1.0) <= 1e-12
-        assert (m.cell_area > 0).all()
+        area = np.concatenate([polygon_area(s.polygons) for s in make(n).stacks])
+        assert abs(area.sum() - 1.0) <= 1e-12
+        assert (area > 0).all()
 
 
 @pytest.mark.parametrize("make", [build_triangular, build_polygonal])
@@ -141,9 +141,20 @@ def test_validate_area_sum_violation():
     # Two triangles covering only half the unit square.
     text = "polymesh 1\nvertices 4\n0 0\n1 0\n1 0.5\n0 0.5\ncells 2\n0 1 2\n0 2 3\n"
     m = load_mesh(io.StringIO(text))
-    report = validate(m)
-    assert any("areas sum" in line for line in report)
-    assert validate(m, unit_square=False) == []
+    assert validate(m) == ["cell areas sum to 0.5, expected 1"]
+
+
+@pytest.mark.parametrize("cut", ["vertices", "cell"])
+def test_validate_reports_vertex_index_out_of_range(cut):
+    m = build_triangular(2)
+    if cut == "vertices":
+        # Cells 2 to 7 reach past vertex 4.
+        m, bad = dataclasses.replace(m, vertices=m.vertices[:5]), [2, 3, 4, 5, 6, 7]
+    else:
+        m.cells[2] = np.array([0, 1, 99])
+        bad = [2]
+    assert validate(m) == [f"cell {c}: vertex index out of range for {m.n_vertices} vertices"
+                           for c in bad]
 
 
 def _move_interior_vertices():
@@ -307,17 +318,11 @@ def test_cell_stacks_are_the_stored_stacks():
     assert sorted(cells.tolist()) == list(range(m.n_cells))
     for s in m.stacks:
         assert np.array_equal(s.polygons, m.vertices[np.stack([m.cells[c] for c in s.cells])])
-    # A subset is a slice of the stored stacks, duplicates dropped.
-    pick = [m.stacks[2].cells[3], m.stacks[0].cells[1], m.stacks[2].cells[0],
-            m.stacks[0].cells[1]]
-    sub = cell_stacks(m, pick)
-    assert len(sub) == 2
-    for got, full in zip(sub, (m.stacks[0], m.stacks[2])):
-        rows = np.flatnonzero(np.isin(full.cells, pick))
-        assert np.array_equal(got.cells, full.cells[rows])
-        assert np.array_equal(got.polygons, full.polygons[rows])
-        for f in dataclasses.fields(CellStack):
-            assert np.array_equal(getattr(got, f.name), getattr(full, f.name)[rows]), f.name
+    # A slice by rows takes those rows of every field.
+    full, rows = m.stacks[2], [3, 0]
+    got = full.rows(rows)
+    for f in dataclasses.fields(CellStack):
+        assert np.array_equal(getattr(got, f.name), getattr(full, f.name)[rows]), f.name
 
 
 @pytest.mark.parametrize("mesh", [build_triangular(3), build_polygonal(4)], ids=["tri", "poly"])
@@ -449,8 +454,7 @@ def test_shape_needs_equal_sigma_and_first_vertex():
 @pytest.mark.parametrize("mesh", [build_polygonal(8), perturbed(build_polygonal(4), seed=5)],
                          ids=["poly", "perturbed"])
 def test_slices_agree_with_their_shapes(mesh):
-    pick = np.arange(0, mesh.n_cells, 3)
-    for s in mesh.stacks + cell_stacks(mesh, pick):
+    for s in mesh.stacks + [s.rows(np.arange(0, len(s.cells), 3)) for s in mesh.stacks]:
         ref, of = s.shapes
         # One row per shape: its first cell, in order.
         assert np.array_equal(ref.cells, s.cells[np.unique(of, return_index=True)[1]])

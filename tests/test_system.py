@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from sfwg.basis import dim_pk, from_legendre, legendre_values
 from sfwg.errors import ZERO, error_triple
-from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
+from sfwg.mesh import build_polygonal, build_triangular
 from sfwg.quadrature import quad_cell
 from sfwg.system import (
     LinearSystem,
@@ -50,7 +50,7 @@ def test_free_dof_count():
 def test_cell_dofs_marks_boundary_constrained():
     mesh = build_triangular(1)
     dm = build_dof_map(mesh, 2)
-    loc = local_dofs(mesh, cell_stacks(mesh, [0])[0], 2)[0]
+    loc = local_dofs(mesh, mesh.stacks[0], 2)[0]  # cell 0 is row 0
     idx, vals = dm.pos[loc], dm.constrained.flat()[loc]
     assert (idx[:6] == np.arange(6)).all()
     # exactly one of the three edges is interior

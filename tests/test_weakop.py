@@ -11,17 +11,28 @@ from sfwg.basis import (
     legendre_values,
     monomial_exponents,
 )
-from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
+from sfwg.mesh import build_polygonal, build_triangular
 from sfwg.quadrature import quad_cell, quad_edge
 from sfwg.weakop import (
     WeakFunction,
     apply_weak_laplacian,
     element_operators,
-    element_weak_laplacian,
     interpolate_qh,
     local_dofs,
 )
 from test_mesh import perturbed
+
+
+def cell_stack(mesh, cell):
+    """The stack of one cell: its row of the stored stack that holds it."""
+    ((s, row),) = [(s, row) for s in mesh.stacks for row in np.flatnonzero(s.cells == cell)]
+    return s.rows([row])
+
+
+def one_cell_operator(mesh, cell, k, j):
+    """The operator of one cell, built on a copy of the mesh whose only
+    stack is that cell's."""
+    return element_operators(dataclasses.replace(mesh, stacks=[cell_stack(mesh, cell)]), k, j)[0]
 
 
 def zero_weak(mesh, k):
@@ -38,42 +49,38 @@ def local(v, mesh, op):
     return v.flat()[local_dofs(mesh, op.stack, v.k)]
 
 
-def psi_tables(op, pts):
+def psi_tables(op, pts, c=0):
     """Values and gradients (d/dx, d/dy) at ``pts`` of the orthonormal P_j
-    basis psi = V R^-1 of a one-cell operator."""
+    basis psi = V R^-1 of the operator's cell c, with the R of its shape."""
     s = op.stack
-    return [from_legendre(op.r[0], t.T).T
-            for t in legendre_table(pts, s.centroid[0], s.diameter[0], op.j)]
-
-
-def lifted_values(op, dofs, pts):
-    return psi_tables(op, pts)[0] @ apply_weak_laplacian(op, dofs)[0]
+    return [from_legendre(op.r[s.shapes[1][c]], t.T).T
+            for t in legendre_table(pts, s.centroid[c], s.diameter[c], op.j)]
 
 
 def sigma_of(mesh, cell, e):
     """sigma of edge e in the given cell."""
-    (stack,) = cell_stacks(mesh, [cell])
+    stack = cell_stack(mesh, cell)
     return stack.sigma[0][stack.edges[0] == e].item()
 
 
 def test_rejects_j_not_exceeding_k():
     mesh = build_triangular(1)
     with pytest.raises(ValueError, match="j=2"):
-        element_weak_laplacian(mesh, 0, 2, 2)
+        element_operators(mesh, 2, 2)
 
 
 def test_zero_maps_to_zero():
     mesh = build_triangular(2)
-    op = element_weak_laplacian(mesh, 0, 2, 4)
     v = zero_weak(mesh, 2)
-    assert np.allclose(apply_weak_laplacian(op, local(v, mesh, op)), 0.0)
+    for op in element_operators(mesh, 2, 4):
+        assert np.allclose(apply_weak_laplacian(op, local(v, mesh, op)), 0.0)
 
 
 def test_local_dof_count():
     mesh = build_polygonal(2)
     k = 3
-    op = element_weak_laplacian(mesh, 0, k, k + 4)
-    n_edges = cell_stacks(mesh, [0])[0].edges.shape[1]
+    op = one_cell_operator(mesh, 0, k, k + 4)
+    n_edges = cell_stack(mesh, 0).edges.shape[1]
     assert op.matrix.shape == (1, dim_pk(k + 4), dim_pk(k) + 2 * k * n_edges)
     with pytest.raises(ValueError, match="local DOFs"):
         apply_weak_laplacian(op, np.zeros(3))
@@ -105,11 +112,12 @@ def test_polynomial_exactness(k, j, builder, n):
     u, grad_u, lap_u = _poly_fields(k)
 
     v = interpolate_qh(u, grad_u, mesh, k)
-    for cell in range(mesh.n_cells):
-        op = element_weak_laplacian(mesh, cell, k, j)
-        pts = quad_cell(mesh.vertices[mesh.cells[cell]], 4).points
-        got = lifted_values(op, local(v, mesh, op), pts)
-        assert np.allclose(got, lap_u(pts), atol=1e-9)
+    for op in element_operators(mesh, k, j):
+        lifted = apply_weak_laplacian(op, local(v, mesh, op))
+        for c, cell in enumerate(op.stack.cells):
+            pts = quad_cell(mesh.vertices[mesh.cells[cell]], 4).points
+            got = psi_tables(op, pts, c)[0] @ lifted[c]
+            assert np.allclose(got, lap_u(pts), atol=1e-9)
 
 
 def test_constant_has_zero_weak_laplacian():
@@ -121,11 +129,10 @@ def test_constant_has_zero_weak_laplacian():
         mesh,
         k,
     )
-    for cell in range(mesh.n_cells):
-        op = element_weak_laplacian(mesh, cell, k, k + 2)
+    for op in element_operators(mesh, k, k + 2):
         coeff = apply_weak_laplacian(op, local(v, mesh, op))
-        # the P_j basis is orthonormal, so this is the L2(T) norm
-        assert np.linalg.norm(coeff) < 1e-10
+        # the P_j basis is orthonormal, so these are the L2(T) norms
+        assert np.linalg.norm(coeff, axis=1).max() < 1e-10
 
 
 def test_single_vb_column_against_independent_quadrature():
@@ -135,14 +142,14 @@ def test_single_vb_column_against_independent_quadrature():
     mesh = build_triangular(2)
     k, j = 2, 4
     cell = 3
-    (stack,) = cell_stacks(mesh, [cell])
+    stack = cell_stack(mesh, cell)
     e, sigma = stack.edges[0, 1], stack.sigma[0, 1]
     v = zero_weak(mesh, k)
     p0, p1 = mesh.vertices[mesh.edges[e]]
     # constant-1 trace in the orthonormal edge basis
     v.vb[e, 0] = 1.0 / edge_values(k - 1, p0, p1, np.array([0.0]))[0, 0]
 
-    op = element_weak_laplacian(mesh, cell, k, j)
+    op = one_cell_operator(mesh, cell, k, j)
     coeff = apply_weak_laplacian(op, local(v, mesh, op))[0]
 
     # Whatever basis the coefficients are in, test against that basis with
@@ -171,7 +178,7 @@ def test_flux_column_sign_tracks_sigma():
 
     results = {}
     for cell in (ca, cb):
-        op = element_weak_laplacian(mesh, cell, k, j)
+        op = one_cell_operator(mesh, cell, k, j)
         coeff = apply_weak_laplacian(op, local(v, mesh, op))[0]
         p0, p1 = mesh.vertices[mesh.edges[e]]
         erule = quad_edge(p0, p1, 2 * j)
@@ -192,7 +199,7 @@ def test_flux_column_sign_tracks_sigma():
 
 def test_linearity():
     mesh = build_triangular(2)
-    op = element_weak_laplacian(mesh, 0, 2, 4)
+    op = one_cell_operator(mesh, 0, 2, 4)
     rng = np.random.default_rng(7)
     a = rng.standard_normal(op.matrix.shape[::2])
     b = rng.standard_normal(op.matrix.shape[::2])
