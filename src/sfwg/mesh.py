@@ -33,11 +33,8 @@ class MeshTopologyError(MeshError):
 
 @dataclass
 class CellStack:
-    """The cells of a mesh that have one vertex count, as stacked arrays.
-
-    Local edge t of a cell runs from its vertex t to vertex t+1; ``p0`` ->
-    ``p1`` is its lo -> hi direction, that of its arclength and normal n_e.
-    """
+    """The cells of a mesh that have one vertex count, as stacked arrays;
+    local edge t of a cell runs from its vertex t to vertex t+1."""
 
     cells: np.ndarray     # (nc,) cell indices, increasing
     polygons: np.ndarray  # (nc, nv, 2) CCW vertex coordinates
@@ -45,10 +42,14 @@ class CellStack:
     sigma: np.ndarray     # (nc, nv) n_e . n_outward, as float
     centroid: np.ndarray  # (nc, 2)
     diameter: np.ndarray  # (nc,)
-    p0: np.ndarray        # (nc, nv, 2) lower-index endpoint of each local edge
-    p1: np.ndarray        # (nc, nv, 2) higher-index endpoint
-    normal: np.ndarray    # (nc, nv, 2) outward unit normal sigma * n_e
     shape: np.ndarray     # (nc,) shape label: equal for translates with equal sigma
+
+    def edge_geometry(self):
+        """The lo and hi endpoints and the outward unit normal of every local
+        edge, (nc, nv, 2) each: edge t runs lo -> hi exactly where sigma < 0."""
+        tail, head = self.polygons, np.roll(self.polygons, -1, axis=1)
+        lo_hi = (self.sigma < 0)[..., None]
+        return np.where(lo_hi, tail, head), np.where(lo_hi, head, tail), _outward(head - tail)
 
     def rows(self, rows):
         """The stack of the given rows of this one."""
@@ -67,17 +68,15 @@ class CellStack:
 
 @dataclass
 class Mesh:
-    """Immutable-by-convention polygonal mesh; build via the module functions."""
+    """Immutable-by-convention polygonal mesh; build via the module functions;
+    per-cell data lives in the rows of ``stacks``."""
 
-    vertices: np.ndarray       # (nv, 2)
-    cells: list                # list of CCW vertex-index arrays
-    edges: np.ndarray          # (ne, 2), lo < hi
-    edge_normal: np.ndarray    # (ne, 2) fixed unit normals
-    edge_boundary: np.ndarray  # (ne,) bool
-    edge_cells: np.ndarray     # (ne, 2) incident cells in increasing order, -1 if none
-    stacks: list               # CellStacks, in increasing vertex count
-    cell_centroid: np.ndarray
-    cell_diameter: np.ndarray
+    vertices: np.ndarray     # (nv, 2)
+    cells: list              # list of CCW vertex-index arrays
+    edges: np.ndarray        # (ne, 2), lo < hi
+    edge_normal: np.ndarray  # (ne, 2) fixed unit normals
+    edge_cells: np.ndarray   # (ne, 2) incident cells in increasing order, -1 if none
+    stacks: list             # CellStacks, in increasing vertex count
     h: float
 
     @property
@@ -91,6 +90,10 @@ class Mesh:
     @property
     def n_edges(self):
         return len(self.edges)
+
+    @property
+    def edge_boundary(self):  # (ne,) bool: on one cell only
+        return self.edge_cells[:, 1] < 0
 
 
 def cell_stacks(mesh: Mesh) -> list:
@@ -148,14 +151,14 @@ _CELL_FAULTS = ("is not counter-clockwise (signed area {area:g})",
                 "is not a simple polygon", "is not convex")
 
 
-def _build(vertices, cells, diameter=None):
+def _build(vertices, cells, h=None):
     """Derive all edge/cell data from vertices and CCW cell cycles.
 
     Cells have at least 3 distinct vertex indices, each in range
     (``load_mesh`` checks this).  They are checked and measured one stack
-    of equal vertex count at a time.  Half-edge arrays run over (cell,
-    local edge) in order; edges are numbered in order of first appearance
-    there.
+    of equal vertex count at a time; ``h`` is the largest cell diameter
+    unless given.  Half-edge arrays run over (cell, local edge) in order;
+    edges are numbered in order of first appearance there.
     """
     vertices = np.asarray(vertices, dtype=float)
     count = np.fromiter(map(len, cells), np.intp, len(cells))
@@ -193,9 +196,9 @@ def _build(vertices, cells, diameter=None):
         order = np.argsort(inverse, kind="stable")
         nth = np.empty_like(order)
         nth[order] = np.arange(len(order)) - np.repeat(np.cumsum(incidence) - incidence, incidence)
-        h = int(np.argmax(nth >= 2))
+        third = int(np.argmax(nth >= 2))
         raise MeshTopologyError(
-            f"edge {(int(lo[h]), int(hi[h]))} incident to more than 2 cells")
+            f"edge {(int(lo[third]), int(hi[third]))} incident to more than 2 cells")
     number = np.empty_like(lead)
     number[np.argsort(lead)] = np.arange(len(lead))
     half_edge = number[inverse]
@@ -228,29 +231,20 @@ def _build(vertices, cells, diameter=None):
             f"cells {edge_cells[e, 0]} and {edge_cells[e, 1]} run their shared edge "
             f"{(int(edges[e, 0]), int(edges[e, 1]))} in the same direction")
 
-    centroids = np.empty((n_cells, 2))
-    diameters = np.empty(n_cells)
+    stacks = []
     for sel, half, poly in groups:
-        centroids[sel] = polygon_centroid(poly)
         gap = poly[:, :, None, :] - poly[:, None, :, :]
-        diameters[sel] = np.sqrt((gap * gap).sum(axis=-1).max(axis=(1, 2)))
-    if diameter is not None:
-        diameters[:] = diameter
-    outward = sigma[:, None] * normals[half_edge]
+        diameter = np.sqrt((gap * gap).sum(axis=-1).max(axis=(1, 2)))
+        stacks.append(CellStack(sel, poly, half_edge[half], sigma[half], polygon_centroid(poly),
+                                diameter, _shape_labels(poly, sigma[half], diameter)))
     return Mesh(
         vertices=vertices,
         cells=[flat[a:b] for a, b in zip(first.tolist(), (first + count).tolist())],
         edges=edges,
         edge_normal=normals,
-        edge_boundary=edge_cells[:, 1] < 0,
         edge_cells=edge_cells,
-        stacks=[CellStack(sel, poly, half_edge[half], sigma[half], centroids[sel],
-                          diameters[sel], vertices[lo[half]], vertices[hi[half]], outward[half],
-                          _shape_labels(poly, sigma[half], diameters[sel]))
-                for sel, half, poly in groups],
-        cell_centroid=centroids,
-        cell_diameter=diameters,
-        h=float(diameters.max()),
+        stacks=stacks,
+        h=float(max(s.diameter.max() for s in stacks)) if h is None else float(h),
     )
 
 
@@ -267,8 +261,8 @@ def build_triangular(n: int) -> Mesh:
     a = (np.arange(n) + (n + 1) * np.arange(n)[:, None]).ravel()
     b, c, d = a + 1, a + n + 2, a + n + 1
     cells = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
-    # All cells are congruent right triangles; the diameter is the diagonal.
-    return _build(vertices, cells, diameter=math.sqrt(2.0) / n)
+    # Congruent right triangles: h, their diagonal, is stated to halve exactly.
+    return _build(vertices, cells, h=math.sqrt(2.0) / n)
 
 
 def build_polygonal(n: int) -> Mesh:
@@ -436,9 +430,12 @@ def validate(mesh: Mesh) -> list:
     cells, and that it covers the unit square.  The report lists non-finite
     vertices and cells with a vertex index out of range, else the rebuild's
     error, else each stored row, named by its cell or edge, that differs
-    from the rebuilt one.
+    from the rebuilt one, and an h off the largest rebuilt diameter by more
+    than 4 eps max|vertex| (``build_triangular`` states h exactly).
     """
     n = mesh.n_vertices
+    if not len(mesh.cells):
+        return ["mesh has no cells"]
     report = [f"vertex {v}: non-finite coordinate"
               for v in np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))]
     report += [f"cell {c}: vertex index out of range for {n} vertices"
@@ -446,7 +443,7 @@ def validate(mesh: Mesh) -> list:
     if report:
         return report
     try:
-        built = _build(mesh.vertices, mesh.cells, diameter=mesh.cell_diameter)
+        built = _build(mesh.vertices, mesh.cells)
     except MeshError as exc:
         return [str(exc)]
 
@@ -459,17 +456,15 @@ def validate(mesh: Mesh) -> list:
         report.extend(f"{where(*i)}: {name} differs from the rebuilt mesh"
                       for i in zip(*np.nonzero(differ.any(axis=-1))))
 
-    for name in ("edges", "edge_normal", "edge_boundary", "edge_cells"):
+    for name in ("edges", "edge_normal", "edge_cells"):
         compare(name, getattr(mesh, name), getattr(built, name), 1, lambda e: f"edge {e}")
-    for name in ("cell_centroid", "cell_diameter"):
-        compare(name, getattr(mesh, name), getattr(built, name), 1, lambda c: f"cell {c}")
-    if mesh.h != built.h:
-        report.append(f"h is {mesh.h!r}, rebuilt {built.h!r}")
+    if not abs(mesh.h - built.h) <= 4 * np.finfo(float).eps * np.abs(mesh.vertices).max():
+        report.append(f"h is {mesh.h!r}, largest rebuilt diameter {built.h!r}")
     if len(mesh.stacks) != len(built.stacks):
         report.append(f"{len(mesh.stacks)} stacks, rebuilt {len(built.stacks)}")
     for stored, s in zip(mesh.stacks, built.stacks):
         for name in (f.name for f in fields(CellStack)):
-            if name in ("edges", "sigma", "p0", "p1", "normal"):  # a row per local edge
+            if name in ("edges", "sigma"):  # a row per local edge
                 compare(name, getattr(stored, name), getattr(s, name), 2,
                         lambda c, t: f"cell {s.cells[c]}, edge {s.edges[c, t]}")
             else:

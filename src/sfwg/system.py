@@ -87,12 +87,14 @@ def _dissection_ranks(mesh):
     it, then by its height, so every node follows the leaves below it.
     """
     n = mesh.n_cells
+    cells = np.concatenate([s.cells for s in mesh.stacks])
+    centroid = np.concatenate([s.centroid for s in mesh.stacks])[np.argsort(cells)]
     levels = ((n + 1) // 2 - 1).bit_length()
     order, size = np.arange(n), np.array([n])
     for _ in range(levels):
         group = np.repeat(np.arange(len(size)), size)
         starts = np.cumsum(size) - size
-        c = mesh.cell_centroid[order]
+        c = centroid[order]
         extent = np.maximum.reduceat(c, starts) - np.minimum.reduceat(c, starts)
         along = np.where((extent[:, 0] >= extent[:, 1])[group], c[:, 0], c[:, 1])
         order = order[np.lexsort((along, group))]

@@ -61,15 +61,16 @@ def edge_tables(stack: CellStack, k: int, degree: int, rule_degree: int):
     Returns the edge rule exact to ``rule_degree`` (points (nc, nv, q, 2)),
     the orthonormal P_{k-1}(e) basis chi (nc, nv, q, k), and the cell's
     Legendre products of ``degree`` and their outward normal derivatives,
-    each (nc, nv, q, dim P_degree).
+    each (nc, nv, q, dim P_degree).  The rule and chi run lo -> hi, as v_b does.
     """
-    erule = quad_edge(stack.p0, stack.p1, rule_degree)
-    chi = edge_values(k - 1, stack.p0, stack.p1, erule.params)
+    p0, p1, normal = stack.edge_geometry()
+    erule = quad_edge(p0, p1, rule_degree)
+    chi = edge_values(k - 1, p0, p1, erule.params)
     shape = erule.points.shape[:-1] + (-1,)
     vals, gx, gy = (t.reshape(shape) for t in legendre_table(
         erule.points.reshape(len(stack.cells), -1, 2), stack.centroid, stack.diameter, degree))
-    gx *= stack.normal[..., 0, None, None]
-    gy *= stack.normal[..., 1, None, None]
+    gx *= normal[..., 0, None, None]
+    gy *= normal[..., 1, None, None]
     gx += gy
     return erule, chi, vals, gx
 

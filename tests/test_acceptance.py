@@ -25,6 +25,7 @@ from sfwg.weakop import (
     interpolate_qh,
     local_dofs,
 )
+from test_mesh import cell_frames
 
 
 def _report(ok: bool, label: str):
@@ -169,8 +170,8 @@ def test_criterion_5_operator_exactness():
                         # basis psi = V R^-1.
                         rule = quad_cell(mesh.vertices[mesh.cells[cell]], cell_rule_degree(j))
                         sw = np.sqrt(rule.weights)
-                        vals = legendre_values(rule.points, mesh.cell_centroid[cell],
-                                               mesh.cell_diameter[cell], j)
+                        vals = legendre_values(rule.points, op.stack.centroid[c],
+                                               op.stack.diameter[c], j)
                         coeffs = np.linalg.lstsq(sw[:, None] * vals, sw * lap(rule.points),
                                                  rcond=None)[0]
                         proj = op.r[op.stack.shapes[1][c]] @ coeffs
@@ -201,10 +202,10 @@ def test_criterion_6_patch_reproduction():
                               boundary=(u, grad))
         q = interpolate_qh(u, grad, mesh, 2)
         err2 = 0.0
+        centroid, diameter = cell_frames(mesh)
         for cell in range(mesh.n_cells):
             rule = quad_cell(mesh.vertices[mesh.cells[cell]], 6)
-            vals = legendre_values(rule.points, mesh.cell_centroid[cell],
-                                   mesh.cell_diameter[cell], 2)
+            vals = legendre_values(rule.points, centroid[cell], diameter[cell], 2)
             d = vals @ (uh.v0[cell] - q.v0[cell])
             err2 += float(rule.weights @ d**2)
         worst = max(worst, math.sqrt(err2))

@@ -18,6 +18,7 @@ from sfwg.basis import (
 from sfwg.mesh import build_triangular, load_mesh
 from sfwg.quadrature import quad_cell, quad_edge
 from sfwg.weakop import interpolate_qh, project_edge_data
+from test_mesh import cell_frames
 
 TRI = np.array([[0.1, 0.2], [0.7, 0.15], [0.35, 0.9]])
 PENTAGON = np.array([[0.0, 0.0], [0.6, -0.1], [0.9, 0.4], [0.5, 0.8], [-0.1, 0.5]])
@@ -117,8 +118,8 @@ def test_cell_mass_condition_stable_under_refinement():
     for n in (4, 8, 16):
         mesh = build_triangular(n)
         poly = mesh.vertices[mesh.cells[0]]
-        conds.append(np.linalg.cond(cell_gram(poly, mesh.cell_centroid[0],
-                                              mesh.cell_diameter[0], 4)))
+        centroid, diameter = cell_frames(mesh)
+        conds.append(np.linalg.cond(cell_gram(poly, centroid[0], diameter[0], 4)))
     assert max(conds) < 1e6
     assert max(conds) / min(conds) < 1.1
 
@@ -138,7 +139,8 @@ def projection(f, mesh, k):
     """The P_k projection of ``f`` on a one-cell mesh, as interpolate_qh
     forms v0, and the function that evaluates it."""
     c = interpolate_qh(f, no_grad, mesh, k).v0[0]
-    return c, lambda p: legendre_values(p, mesh.cell_centroid[0], mesh.cell_diameter[0], k) @ c
+    (s,) = mesh.stacks
+    return c, lambda p: legendre_values(p, s.centroid[0], s.diameter[0], k) @ c
 
 
 def test_projection_reproduces_polynomials():
@@ -161,7 +163,8 @@ def test_projection_orthogonality_and_idempotence():
     # (f - Pf, q) = 0 for every q in the space, under the projection's
     # rule, which is exact for the products of two P_k functions.
     rule = quad_cell(TRI, 2 * k + 2)
-    v = legendre_values(rule.points, mesh.cell_centroid[0], mesh.cell_diameter[0], k)
+    (s,) = mesh.stacks
+    v = legendre_values(rule.points, s.centroid[0], s.diameter[0], k)
     resid = f(rule.points) - pf(rule.points)
     assert np.allclose(v.T @ (rule.weights * resid), 0.0, atol=1e-13)
     c2, _ = projection(pf, mesh, k)

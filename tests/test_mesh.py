@@ -116,14 +116,42 @@ def test_generator_preconditions():
         build_polygonal(1)
 
 
+@pytest.mark.parametrize("n", list(range(1, 13)) + [300])
+def test_validate_clean_triangular_meshes(n):
+    # The h that build_triangular states misses the largest measured
+    # diameter by up to 1e-15 of h at n = 5-12, and by 2.3e-14 at n = 300:
+    # validate bounds the gap by 4 eps max|vertex|, not relative to h.
+    assert validate(build_triangular(n)) == []
+
+
 def test_validate_clean_meshes():
-    assert validate(build_triangular(4)) == []
-    assert validate(build_polygonal(4)) == []
-    # The diameter build_triangular sets misses the computed one by an ulp
-    # at n = 3 and 5; a mesh read from text has no such override.
-    assert validate(build_triangular(3)) == []
-    assert validate(build_triangular(5)) == []
+    for n in range(2, 9):
+        assert validate(build_polygonal(n)) == [], n
     assert validate(perturbed(build_polygonal(4), seed=3)) == []
+
+
+def test_validate_reports_a_mesh_without_cells():
+    assert validate(dataclasses.replace(build_triangular(2), cells=[])) == ["mesh has no cells"]
+
+
+def test_validate_reports_h():
+    m = dataclasses.replace(build_triangular(2), h=0.3)
+    assert validate(m) == [f"h is 0.3, largest rebuilt diameter {math.sqrt(2) / 2!r}"]
+
+
+def test_validate_reports_diameters_and_h():
+    m = build_triangular(2)
+    m.stacks[0].diameter[:] = 0.3
+    m.h = 0.3
+    report = validate(m)
+    assert report[0].startswith("h is 0.3")
+    assert report[1:] == [f"cell {c}: diameter differs from the rebuilt mesh" for c in range(8)]
+
+
+def test_validate_reports_a_diameter_of_the_wrong_length():
+    m = build_triangular(2)
+    m.stacks[0] = dataclasses.replace(m.stacks[0], diameter=m.stacks[0].diameter[:3])
+    assert validate(m) == ["diameter has shape (3,), rebuilt (8,)"]
 
 
 def test_validate_reports_flipped_sigma():
@@ -325,22 +353,6 @@ def test_cell_stacks_are_the_stored_stacks():
         assert np.array_equal(getattr(got, f.name), getattr(full, f.name)[rows]), f.name
 
 
-@pytest.mark.parametrize("mesh", [build_triangular(3), build_polygonal(4)], ids=["tri", "poly"])
-def test_stack_geometry_agrees_with_the_mesh(mesh):
-    for s in mesh.stacks:
-        assert np.array_equal(s.centroid, mesh.cell_centroid[s.cells])
-        assert np.array_equal(s.diameter, mesh.cell_diameter[s.cells])
-        assert np.array_equal(s.p0, mesh.vertices[mesh.edges[s.edges, 0]])
-        assert np.array_equal(s.p1, mesh.vertices[mesh.edges[s.edges, 1]])
-        assert np.array_equal(s.normal, s.sigma[..., None] * mesh.edge_normal[s.edges])
-        # Outward: the normal of local edge t, from vertex t to t+1 of a CCW
-        # cell, is its tangent turned clockwise.
-        d = np.roll(s.polygons, -1, axis=1) - s.polygons
-        assert np.allclose(s.normal * np.linalg.norm(d, axis=-1)[..., None],
-                           np.stack([d[..., 1], -d[..., 0]], axis=-1), atol=1e-14)
-        assert np.allclose(np.linalg.norm(s.normal, axis=-1), 1.0, atol=1e-15)
-
-
 def test_load_rejects_self_intersecting_cell():
     # A pentagram: the vertices of a regular pentagon taken in the order
     # 0 2 4 1 3.  It turns left at every vertex and its shoelace area is
@@ -397,6 +409,15 @@ def perturbed(mesh, seed, amplitude=0.1):
     return load_mesh(io.StringIO(buf.getvalue()))
 
 
+def cell_frames(mesh):
+    """Every cell's centroid (n_cells, 2) and diameter (n_cells,), in cell
+    order, read from the rows of the mesh's stacks."""
+    centroid, diameter = np.empty((mesh.n_cells, 2)), np.empty(mesh.n_cells)
+    for s in mesh.stacks:
+        centroid[s.cells], diameter[s.cells] = s.centroid, s.diameter
+    return centroid, diameter
+
+
 def shape_count(mesh):
     return [len(s.shapes[0].cells) for s in mesh.stacks]
 
@@ -451,8 +472,38 @@ def test_shape_needs_equal_sigma_and_first_vertex():
     assert len({s.shape[0], s.shape[2], s.shape[3]}) == 3
 
 
-@pytest.mark.parametrize("mesh", [build_polygonal(8), perturbed(build_polygonal(4), seed=5)],
-                         ids=["poly", "perturbed"])
+GEOMETRY_MESHES = pytest.mark.parametrize(
+    "mesh", [build_triangular(3), build_polygonal(8), perturbed(build_polygonal(4), seed=5)],
+    ids=["tri", "poly", "perturbed"])
+
+
+@GEOMETRY_MESHES
+def test_stack_geometry_agrees_with_the_mesh(mesh):
+    for s in mesh.stacks:
+        for c, cell in enumerate(s.cells):
+            # The centroid and diameter of the cell's own vertex cycle.
+            p = mesh.vertices[mesh.cells[cell]]
+            q = np.roll(p, -1, axis=0)
+            cross = p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1]
+            centroid = ((p + q) * cross[:, None]).sum(axis=0) / (3 * cross.sum())
+            assert np.allclose(s.centroid[c], centroid, rtol=0, atol=1e-15)
+            gap = np.linalg.norm(p[:, None] - p[None], axis=-1).max()
+            assert s.diameter[c] == pytest.approx(gap, rel=1e-15)
+        # The derived edge geometry: each local edge's endpoints lo -> hi
+        # of its global edge, and the outward normal sigma n_e.
+        p0, p1, normal = s.edge_geometry()
+        assert np.array_equal(p0, mesh.vertices[mesh.edges[s.edges, 0]])
+        assert np.array_equal(p1, mesh.vertices[mesh.edges[s.edges, 1]])
+        assert np.array_equal(normal, s.sigma[..., None] * mesh.edge_normal[s.edges])
+        # Outward: the normal of local edge t, from vertex t to t+1 of a CCW
+        # cell, is its tangent turned clockwise.
+        d = np.roll(s.polygons, -1, axis=1) - s.polygons
+        assert np.allclose(normal * np.linalg.norm(d, axis=-1)[..., None],
+                           np.stack([d[..., 1], -d[..., 0]], axis=-1), atol=1e-14)
+        assert np.allclose(np.linalg.norm(normal, axis=-1), 1.0, atol=1e-15)
+
+
+@GEOMETRY_MESHES
 def test_slices_agree_with_their_shapes(mesh):
     for s in mesh.stacks + [s.rows(np.arange(0, len(s.cells), 3)) for s in mesh.stacks]:
         ref, of = s.shapes
@@ -466,9 +517,10 @@ def test_slices_agree_with_their_shapes(mesh):
         move = s.polygons[:, :1] - ref.polygons[of, :1]
         d = s.diameter.max()
         assert np.array_equal(ref.sigma[of], s.sigma)
+        (rp0, rp1, rnormal), (p0, p1, normal) = ref.edge_geometry(), s.edge_geometry()
         for got, want, tol in ((ref.polygons[of], s.polygons, 1e-14),
-                               (ref.p0[of], s.p0, 1e-14), (ref.p1[of], s.p1, 1e-14),
+                               (rp0[of], p0, 1e-14), (rp1[of], p1, 1e-14),
                                (ref.centroid[of][:, None], s.centroid[:, None], 1e-11)):
             assert np.allclose(got + move, want, rtol=0, atol=tol * d)
         assert np.allclose(ref.diameter[of], s.diameter, rtol=1e-14, atol=0)
-        assert np.allclose(ref.normal[of], s.normal, rtol=0, atol=1e-14)
+        assert np.allclose(rnormal[of], normal, rtol=0, atol=1e-14)

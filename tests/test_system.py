@@ -32,7 +32,7 @@ from sfwg.weakop import (
     per_cell,
 )
 
-from test_mesh import perturbed
+from test_mesh import cell_frames, perturbed
 
 
 def zero_f(p):
@@ -67,7 +67,7 @@ def dissection_pos(mesh, k):
 
     def visit(cells, path):
         if len(path) < levels:
-            c = mesh.cell_centroid[cells]
+            c = centroid[cells]
             extent = c.max(axis=0) - c.min(axis=0)
             cells = cells[np.argsort(c[:, 0 if extent[0] >= extent[1] else 1],
                                      kind="stable")]
@@ -77,6 +77,7 @@ def dissection_pos(mesh, k):
             leaf_path.update(dict.fromkeys(cells.tolist(), path))
         post[path] = next(count)
 
+    centroid, _ = cell_frames(mesh)
     visit(np.arange(mesh.n_cells), ())
 
     def lca(p, q):
@@ -241,9 +242,10 @@ def test_patch_reproduces_polynomials(k, u, grad, lap, n):
     uh = solve_biharmonic(mesh, k, k + 2, zero_f, boundary=(u, grad))
     qh = interpolate_qh(u, grad, mesh, k)
     err2 = 0.0
+    centroid, diameter = cell_frames(mesh)
     for cell in range(mesh.n_cells):
         rule = quad_cell(mesh.vertices[mesh.cells[cell]], 2 * k)
-        vals = legendre_values(rule.points, mesh.cell_centroid[cell], mesh.cell_diameter[cell], k)
+        vals = legendre_values(rule.points, centroid[cell], diameter[cell], k)
         d = vals @ (uh.v0[cell] - qh.v0[cell])
         err2 += float(rule.weights @ d**2)
     assert np.sqrt(err2) <= 1e-8
