@@ -35,7 +35,10 @@ def monomial_exponents(degree):
         for i in range(d + 1):
             ea.append(d - i)
             eb.append(i)
-    return np.array(ea, dtype=np.intp), np.array(eb, dtype=np.intp)
+    ea, eb = np.array(ea, dtype=np.intp), np.array(eb, dtype=np.intp)
+    ea.setflags(write=False)
+    eb.setflags(write=False)
+    return ea, eb
 
 
 def _legendre_derivative(p):
@@ -100,8 +103,10 @@ def legendre_laplacian(degree):
     # dd[m, n]: coefficient of P_m in P_n''
     dd = _legendre_derivative(_legendre_derivative(np.eye(degree + 1)))
     ea, eb = monomial_exponents(degree)
-    return (dd[ea[:, None], ea] * (eb[:, None] == eb)
-            + (ea[:, None] == ea) * dd[eb[:, None], eb])
+    lap = (dd[ea[:, None], ea] * (eb[:, None] == eb)
+           + (ea[:, None] == ea) * dd[eb[:, None], eb])
+    lap.setflags(write=False)
+    return lap
 
 
 def from_legendre(r, moments):

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
+from sfwg.basis import legendre_laplacian, monomial_exponents
 from sfwg.mesh import build_polygonal
 from sfwg.quadrature import (
     QuadratureDegreeError,
+    gauss_jacobi10,
     polygon_area,
     quad_cell,
     quad_edge,
+    reference_edge_rule,
     reference_triangle_rule,
 )
 from test_mesh import perturbed
@@ -24,7 +28,44 @@ def exact_ref_triangle(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2, 5, 10, 16])
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", range(1, 27))
+def test_gauss_jacobi_nodes_match_scipy(n):
+    x, _ = gauss_jacobi10(n)
+    np.testing.assert_allclose(x, roots_jacobi(n, 1, 0)[0], rtol=0, atol=4 * EPS)
+
+
+@pytest.mark.parametrize("n", range(1, 27))
+def test_gauss_jacobi_exactness(n):
+    # int_-1^1 (1 - x) x^m dx is 2/(m+1) for even m and -2/(m+2) for odd m;
+    # the error is measured against sum w |x^m|, the size of the terms summed.
+    x, w = gauss_jacobi10(n)
+    assert (w > 0).all()
+    for m in range(2 * n):
+        exact = 2.0 / (m + 1) if m % 2 == 0 else -2.0 / (m + 2)
+        assert abs(w @ x**m - exact) <= 1e-13 * (w @ np.abs(x**m))
+
+
+@pytest.mark.parametrize("cached", [
+    lambda: reference_triangle_rule(4)[0],
+    lambda: reference_triangle_rule(4)[1],
+    lambda: reference_edge_rule(3)[0],
+    lambda: reference_edge_rule(3)[1],
+    lambda: legendre_laplacian(3),
+    lambda: monomial_exponents(3)[0],
+    lambda: monomial_exponents(3)[1],
+], ids=["triangle-points", "triangle-weights", "edge-points", "edge-weights",
+        "legendre-laplacian", "exponents-x", "exponents-y"])
+def test_cached_arrays_are_read_only(cached):
+    # A cache hands one array to every caller; writing to it must fail
+    # rather than change what later calls return.
+    with pytest.raises(ValueError, match="read-only"):
+        cached()[...] *= 2
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 5, 10, 16, 30, 40, 50])
 def test_reference_rule_exactness(degree):
     pts, w = reference_triangle_rule(degree)
     assert (w > 0).all()

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import sfwg
 from sfwg.basis import dim_pk, from_legendre, legendre_values
 from sfwg.errors import ZERO, error_triple
 from sfwg.mesh import build_polygonal, build_triangular
@@ -149,6 +154,23 @@ def test_zero_load_gives_zero_solution():
     assert np.allclose(u.v0, 0.0)
     assert np.allclose(u.vb, 0.0)
     assert np.allclose(u.vn, 0.0)
+
+
+def test_solve_does_not_load_scipy_special():
+    # A fresh interpreter: this test process has scipy.special loaded already.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import sfwg\n"
+        "u = sfwg.solve_biharmonic(sfwg.build_triangular(2), 2, 4, lambda p: np.ones(len(p)))\n"
+        "assert np.isfinite(u.v0).all()\n"
+        "sys.exit('scipy.special' in sys.modules)\n"
+    )
+    src = str(Path(sfwg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr or "scipy.special was imported"
 
 
 def test_load_uses_each_operators_own_j():
