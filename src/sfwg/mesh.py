@@ -130,19 +130,13 @@ def _convex(polygons):
 
 
 def _simple(polygons):
-    """Whether no two edges of each polygon of a stack (nc, nv, 2) cross
-    at a point interior to both."""
-    nv = polygons.shape[1]
-    # Every pair of edges: two that share a vertex never cross properly.
-    s, t = np.triu_indices(nv, 1)
-    p, q = polygons[:, s], polygons[:, (s + 1) % nv]
-    r, u = polygons[:, t], polygons[:, (t + 1) % nv]
-
-    def side(a, b, c):
-        return np.sign(_cross(b - a, c - a))
-
-    crossing = (side(p, q, r) * side(p, q, u) < 0) & (side(r, u, p) * side(r, u, q) < 0)
-    return ~crossing.any(axis=1)
+    """Whether each polygon of a stack (nc, nv, 2) winds once: its exterior
+    angles sum to 2 pi.  A polygon that turns left or goes straight at
+    every vertex is simple exactly when it winds once."""
+    d = np.roll(polygons, -1, axis=1) - polygons
+    dn = np.roll(d, -1, axis=1)
+    turn = np.arctan2(_cross(d, dn), np.sum(d * dn, axis=-1)).sum(axis=1)
+    return abs(turn - 2.0 * np.pi) < np.pi
 
 
 # Why _build rejects a cell, in the order it checks them.  quad_cell fans a

@@ -1,18 +1,11 @@
 """Quadrature rules on triangles, convex polygons, and edges.
 
-Triangle rules are collapsed Gauss products (Duffy transform with a
-Gauss-Jacobi rule absorbing the Jacobian), which gives positive weights and
-exactness for any requested polynomial degree up to the cap.  A convex
-polygon is integrated by fanning triangles from its first vertex.
-
-The Gauss-Jacobi nodes (weight 1 - x on [-1, 1]) start as the eigenvalues
-of the symmetric Jacobi matrix of the recurrence (Golub and Welsch, Math.
-Comp. 23 (1969) 221-230) and take two Newton steps on P_n^(1,0), evaluated
-with its derivative by the three-term recurrence.  The weights are the
-Christoffel numbers of the Jacobi polynomials (Szego, Orthogonal
-Polynomials, chapter 15), 2^(a+b+1) G(n+a+1) G(n+b+1) / (G(n+a+b+1) n!
-(1 - x^2) P_n'(x)^2) with G the gamma function, which at a = 1, b = 0 is
-4 / ((1 - x^2) P_n^(1,0)'(x)^2).  Every rule is computed in numpy alone.
+Every rule is built from one Gauss-Legendre rule on [0, 1].  Triangle
+rules are its collapsed product (Duffy, SIAM J. Numer. Anal. 19 (1982)
+1260-1262) with the Jacobian of the collapse in the weights, which gives
+positive weights and exactness for any requested polynomial degree up to
+the cap.  A convex polygon is integrated by fanning triangles from its
+first vertex.
 """
 
 import functools
@@ -48,54 +41,19 @@ def _check_degree(d):
         )
 
 
-def _jacobi10(n, x):
-    """P_n^(1,0)(x) and its derivative, n >= 1, by the three-term recurrence
-    (m+1)(2m-1) P_m = ((2m+1)(2m-1) x + 1) P_{m-1} - (m-1)(2m+1) P_{m-2}
-    and the recurrence differentiated."""
-    p0, p = np.ones_like(x), 0.5 * (3.0 * x + 1.0)
-    d0, d = np.zeros_like(x), np.full_like(x, 1.5)
-    for m in range(2, n + 1):
-        a = (2 * m + 1) * (2 * m - 1)
-        s = a * x + 1.0
-        c, e = (m + 1) * (2 * m - 1), (m - 1) * (2 * m + 1)
-        p0, p, d0, d = p, (s * p - e * p0) / c, d, (a * p + s * d - e * d0) / c
-    return p, d
-
-
-def gauss_jacobi10(n):
-    """``n``-point Gauss rule for the weight 1 - x on [-1, 1]: ascending
-    nodes and weights, exact for polynomials of degree <= 2n - 1."""
-    # The Jacobi matrix: the recurrence of the orthonormal P_i^(1,0).
-    i = np.arange(n)
-    diag = -1.0 / ((2 * i + 1) * (2 * i + 3))
-    m = i[1:]
-    off = np.sqrt(m * (m + 1.0)) / (2 * m + 1)
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    for _ in range(2):
-        p, d = _jacobi10(n, x)
-        x -= p / d
-    d = _jacobi10(n, x)[1]
-    return x, 4.0 / ((1.0 - x * x) * d * d)
-
-
 @functools.lru_cache(maxsize=None)
 def reference_triangle_rule(degree):
-    """Rule on the unit triangle {x,y >= 0, x+y <= 1}, exact to ``degree``."""
-    _check_degree(max(degree, 0))
-    npt = degree // 2 + 1
-    # xi direction: Gauss-Jacobi with weight (1-x) on [-1,1] absorbs the
-    # Duffy Jacobian; eta direction: plain Gauss-Legendre.
-    xj, wj = gauss_jacobi10(npt)
-    xi = 0.5 * (xj + 1.0)
-    wxi = 0.25 * wj
-    tl, wl = leggauss(npt)
-    eta = 0.5 * (tl + 1.0)
-    weta = 0.5 * wl
+    """Rule on the unit triangle {x,y >= 0, x+y <= 1}, exact to ``degree``.
 
-    X = np.repeat(xi, npt)
-    E = np.tile(eta, npt)
-    pts = np.column_stack([X, E * (1.0 - X)])
-    w = np.repeat(wxi, npt) * np.tile(weta, npt)
+    x = xi, y = eta (1 - xi) takes x^a y^b, a + b <= degree, to
+    xi^a (1 - xi)^(b+1) eta^b, so n = (degree + 3) // 2 Gauss-Legendre
+    points in each direction, xi-major, with 1 - xi in the xi weights.
+    """
+    _check_degree(max(degree, 0))
+    t, w = reference_edge_rule((degree + 3) // 2)
+    X = np.repeat(t, len(t))
+    pts = np.column_stack([X, np.tile(t, len(t)) * (1.0 - X)])
+    w = np.outer(w * (1.0 - t), w).ravel()
     pts.setflags(write=False)
     w.setflags(write=False)
     return pts, w

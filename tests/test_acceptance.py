@@ -6,11 +6,16 @@ fixtures.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sfwg
 from sfwg.basis import dim_pk, legendre_values, monomial_exponents
 from sfwg.cli import main
 from sfwg.errors import ZERO, convergence_rates, error_2h
@@ -279,3 +284,21 @@ def test_criterion_9_deterministic_csv(tmp_path):
         outputs.append(path.read_bytes())
     ok = outputs[0] == outputs[1] and len(outputs[0]) > 0
     _report(ok, "criterion 9: repeated study runs emit byte-identical CSV")
+
+
+def test_criterion_9_deterministic_csv_across_processes():
+    # Two fresh interpreters with different hash seeds: no cache, set order
+    # or dict order carried over from this process can make them agree.
+    src = str(Path(sfwg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in "12":
+        run = subprocess.run(
+            [sys.executable, "-m", "sfwg.cli", "study", "--example", "1", "--mesh", "poly",
+             "--k", "2", "--levels", "2,4,8"],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr.decode()
+        outputs.append(run.stdout)
+    ok = outputs[0] == outputs[1] and len(outputs[0]) > 0
+    _report(ok, "criterion 9: study CSV byte-identical across interpreters and hash seeds")

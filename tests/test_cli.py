@@ -19,6 +19,7 @@ from sfwg.study import (
     write_report,
 )
 from sfwg.system import SolverError
+from test_mesh import DOUBLY_WOUND
 from test_quadrature import monomial_integral
 
 CSV_HEADER = "n,h,err_triple,rate_triple,err_2h,rate_2h,err_l2,rate_l2"
@@ -221,6 +222,16 @@ def test_folded_mesh_file_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "cells 0 and 2 run their shared edge (0, 1) in the same direction" in err
+
+
+@pytest.mark.parametrize("command", ["study", "solve"])
+def test_doubly_wound_mesh_file_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "twice.txt"
+    path.write_text(DOUBLY_WOUND)
+    code, out, err = run_cli(capsys, command, "--mesh", f"file:{path}")
+    assert code == 2
+    assert out == ""
+    assert "cell 0 is not a simple polygon" in err
 
 
 @pytest.mark.parametrize("vertices,message", [

@@ -353,18 +353,27 @@ def test_cell_stacks_are_the_stored_stacks():
         assert np.array_equal(getattr(got, f.name), getattr(full, f.name)[rows]), f.name
 
 
+# A triangle taken twice round, through two copies of its vertices: edges
+# t and t+3 lie on one another, but no two of its edges cross.
+DOUBLY_WOUND = "polymesh 1\nvertices 6\n" + "0 0\n1 0\n0 1\n" * 2 + "cells 1\n0 1 2 3 4 5\n"
+
+
 def test_load_rejects_self_intersecting_cell():
     # A pentagram: the vertices of a regular pentagon taken in the order
-    # 0 2 4 1 3.  It turns left at every vertex and its shoelace area is
-    # positive, so only the simplicity check rejects it.
+    # 0 2 4 1 3.  It and the doubly wound triangle turn left at every
+    # vertex and their shoelace areas are positive, so only the simplicity
+    # check rejects them.
     angle = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
     pentagon = 0.5 + 0.4 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
     star = pentagon[[0, 2, 4, 1, 3]]
-    assert _convex(star[None]).all() and polygon_area(star) > 0
-    text = ("polymesh 1\nvertices 5\n" + "".join(f"{x} {y}\n" for x, y in pentagon)
-            + "cells 1\n0 2 4 1 3\n")
-    with pytest.raises(MeshTopologyError, match="^cell 0 is not a simple polygon$"):
-        load_mesh(io.StringIO(text))
+    twice = np.tile(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), (2, 1))
+    for cell in star, twice:
+        assert _convex(cell[None]).all() and polygon_area(cell) > 0
+    star_text = ("polymesh 1\nvertices 5\n" + "".join(f"{x} {y}\n" for x, y in pentagon)
+                 + "cells 1\n0 2 4 1 3\n")
+    for text in star_text, DOUBLY_WOUND:
+        with pytest.raises(MeshTopologyError, match="^cell 0 is not a simple polygon$"):
+            load_mesh(io.StringIO(text))
 
 
 def test_load_names_the_lowest_bad_cell():
