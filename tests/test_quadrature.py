@@ -26,6 +26,21 @@ def exact_ref_triangle(a, b):
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
+@pytest.mark.parametrize("n", range(1, 27))
+def test_gauss_jacobi_exactness(n):
+    # The xi direction of the collapsed rule integrates against the Jacobi
+    # weight 1 - xi: int_T x^m = int_0^1 (1 - x) x^m dx = 1/((m+1)(m+2)).
+    # At degree 2n - 2 the rule has n nodes in xi and is exact for m <= 2n - 2;
+    # the error is measured against sum w |x^m|, the size of the terms summed.
+    pts, w = reference_triangle_rule(2 * n - 2)
+    x = pts[:, 0]
+    assert len(np.unique(x)) == n
+    assert (w > 0).all()
+    for m in range(2 * n - 1):
+        exact = 1.0 / ((m + 1) * (m + 2))
+        assert abs(w @ x**m - exact) <= 1e-13 * (w @ np.abs(x**m))
+
+
 @pytest.mark.parametrize("cached", [
     lambda: reference_triangle_rule(4)[0],
     lambda: reference_triangle_rule(4)[1],
