@@ -30,7 +30,6 @@ from .weakop import (
     cell_tables,
     edge_rule_degree,
     edge_tables,
-    element_operators,
     local_dofs,
     on_cells,
     per_cell,
@@ -85,17 +84,15 @@ def convergence_rates(errors, hs):
     return rates
 
 
-def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops=None):
+def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops):
     """Energy-norm error via the projected-Laplacian identity.
 
-    ``ops`` is the list from ``element_operators(mesh, k, j)``, built here
-    when not given; given, each operator's own P_j degree ``op.j`` is used
-    and ``j`` is not read.  Pi_j lap u is taken in the operator's
-    orthonormal basis, so its coefficients are the moments of lap u, formed
-    against the Legendre products and mapped by R^-T.
+    ``ops`` is the list that ``element_operators`` builds for ``mesh``, k
+    and j; each operator's own P_j degree ``op.j`` is used, and ``j`` is
+    not read.  Pi_j lap u is taken in the operator's orthonormal basis, so
+    its coefficients are the moments of lap u, formed against the Legendre
+    products and mapped by R^-T.
     """
-    if ops is None:
-        ops = element_operators(mesh, k, j)
     flat = u_h.flat()
     total = 0.0
     for op in ops:

@@ -328,8 +328,8 @@ def build_polygonal(n: int) -> Mesh:
 
 
 def load_mesh(stream) -> Mesh:
-    """Parse the mesh text format (see ``dump_mesh``) and derive all data."""
-    lines = stream.read().splitlines() if hasattr(stream, "read") else list(stream)
+    """Parse a text stream in the mesh format (see ``dump_mesh``); derive all data."""
+    lines = stream.read().splitlines()
 
     tokens = []  # (line_number, token list)
     for ln, raw in enumerate(lines, start=1):

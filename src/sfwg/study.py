@@ -58,8 +58,8 @@ class StudyConfig:
             raise ConfigError(f"mesh family must be one of {FAMILIES}")
         if self.k < 2:
             raise ConfigError("k must be >= 2 (the scheme needs lap v0 and P_{k-1}(e))")
-        if self.j is not None and self.j <= self.k:  # every default j exceeds k
-            raise ConfigError(f"j must exceed k, got j={self.j} k={self.k}")
+        if self.j is not None and self.j < self.k + 2:  # every default j is >= k+2
+            raise ConfigError(f"j must be at least k+2, got j={self.j} k={self.k}")
         if self.family == "files":
             if not self.mesh_files:
                 raise ConfigError("mesh family 'files' needs at least one mesh file")

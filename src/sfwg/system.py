@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import dim_pk
-from .weakop import WeakFunction, element_operators, local_dofs, project_edge_data
+from .weakop import WeakFunction, local_dofs, project_edge_data
 
 
 class SolverError(RuntimeError):
@@ -120,19 +120,17 @@ class LinearSystem:
     b: np.ndarray
 
 
-def assemble(mesh, k, j, f, dofmap: DofMap, ops=None) -> LinearSystem:
+def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
     """Stiffness (Lw., Lw.) and load (f, v0) over free DOFs.
 
-    ``ops`` is the list from ``element_operators(mesh, k, j)``, built here
-    when not given; given, the load is integrated under each operator's own
-    cell rule and ``j`` is not read.  The local stiffness is formed once per
-    shape.  Stacks and their cells are processed in a fixed order, so the
-    result is bit-reproducible.  The (row, column, value) triplets go,
-    with int32 indices, into arrays sized in advance, and one stack's
-    gathered element blocks are alive at a time.
+    ``ops`` is the list that ``element_operators`` builds for ``mesh``, k
+    and j; the load is integrated under each operator's own cell rule, and
+    ``j`` is not read.  The local stiffness is formed once per shape.
+    Stacks and their cells are processed in a fixed order, so the result is
+    bit-reproducible.  The (row, column, value) triplets go, with int32
+    indices, into arrays sized in advance, and one stack's gathered element
+    blocks are alive at a time.
     """
-    if ops is None:
-        ops = element_operators(mesh, k, j)
     n, dk = dofmap.n_free, dim_pk(k)
     constrained = dofmap.constrained.flat()
     locs = [local_dofs(mesh, op.stack, k) for op in ops]
@@ -228,12 +226,12 @@ def weak_function_from_free(dofmap: DofMap, x: np.ndarray) -> WeakFunction:
     return WeakFunction.from_flat(dofmap.constrained.k, len(dofmap.constrained.v0), full)
 
 
-def solve_biharmonic(mesh, k, j, f, boundary=None, tol=1e-12, ops=None) -> WeakFunction:
+def solve_biharmonic(mesh, k, j, f, boundary=None, tol=1e-12, *, ops) -> WeakFunction:
     """End-to-end solve: DOF map, assembly, sparse solve, expansion.
 
     ``boundary`` is an optional (g_d, g_n) pair; g_n is the solution's
     derivative along the fixed edge normals n_e.  ``ops`` are the element
-    operators, as for ``assemble``.
+    operators, as for ``assemble``, and ``j`` is not read.
     """
     g_d, g_n = boundary if boundary is not None else (None, None)
     dofmap = build_dof_map(mesh, k, g_d=g_d, g_n=g_n)

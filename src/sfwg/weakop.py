@@ -5,7 +5,7 @@ A weak function is the triple {v0, v_b, v_n n_e}: a P_k polynomial per
 cell, and P_{k-1} polynomials per edge for the trace and for the normal
 flux, the latter stored relative to the edge's fixed normal n_e.
 
-The weak Laplacian lifts a local weak function into P_j(T) (j > k) through
+The weak Laplacian lifts a local weak function into P_j(T) (j >= k+2) through
 integration by parts against test polynomials psi:
 
     (Lw v, psi)_T = (lap v0, psi)_T + <Qb(v0 - v_b), grad psi . n>_bT
@@ -176,8 +176,8 @@ def _stack_operator(stack, k, j):
     Every array below carries the shape as its leading axis; edge arrays
     carry the shape's local edge as the second.
     """
-    if j <= k:
-        raise ValueError(f"lifting degree j={j} must exceed k={k}")
+    if j < k + 2:
+        raise ValueError(f"lifting degree j={j} must be at least k+2={k + 2}")
     shapes = stack.shapes[0]
     rule, vals = cell_tables(shapes, j, cell_rule_degree(j))
     vals *= np.sqrt(rule.weights)[..., None]

@@ -204,7 +204,7 @@ def test_criterion_6_patch_reproduction():
     for n in (2, 4):
         mesh = build_triangular(n)
         uh = solve_biharmonic(mesh, 2, 4, lambda p: np.zeros(len(p)),
-                              boundary=(u, grad))
+                              boundary=(u, grad), ops=element_operators(mesh, 2, 4))
         q = interpolate_qh(u, grad, mesh, 2)
         err2 = 0.0
         centroid, diameter = cell_frames(mesh)
@@ -221,7 +221,8 @@ def test_criterion_6_patch_reproduction():
 def test_criterion_7_spd(study_tri_k2, study_tri_k3, study_poly_k2, study_poly_k3):
     mesh = build_triangular(2)
     dm = build_dof_map(mesh, 2)
-    system = assemble(mesh, 2, 4, lambda p: np.zeros(len(p)), dm)
+    system = assemble(mesh, 2, 4, lambda p: np.zeros(len(p)), dm,
+                      ops=element_operators(mesh, 2, 4))
     a = system.A.toarray()
     sym = float(np.abs(a - a.T).max())
     lam_min = float(np.linalg.eigvalsh(a).min())

@@ -158,6 +158,9 @@ def test_mesh_subcommand_roundtrip(tmp_path, capsys):
     [
         ["study", "--k", "1", "--levels", "2,4"],
         ["study", "--k", "3", "--j", "3", "--levels", "2,4"],
+        ["solve", "--n", "2", "--k", "2", "--j", "3"],
+        ["solve", "--n", "2", "--k", "3", "--j", "4"],
+        ["solve", "--mesh", "poly", "--k", "2", "--j", "3"],
         ["study", "--levels", "4,2"],
         ["study", "--levels", "abc"],
         ["study", "--mesh", "hex"],

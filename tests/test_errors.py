@@ -114,7 +114,7 @@ def test_errors_against_zero_function_equal_norms_of_u():
     z = zero_weak(mesh, 2)
     got = error_l2(ex, z, mesh)
     assert got == pytest.approx(0.5, rel=1e-6)  # ||sin sin|| = 1/2
-    assert error_triple(ex, z, mesh, 2, 4) > 0.0
+    assert error_triple(ex, z, mesh, 2, 4, ops=element_operators(mesh, 2, 4)) > 0.0
     assert error_2h(ex, z, mesh, 2) > 0.0
 
 
@@ -129,8 +129,9 @@ def test_triple_norm_homogeneous():
         vn=rng.standard_normal((mesh.n_edges, k)),
     )
     w = WeakFunction(k=k, v0=3.0 * v.v0, vb=3.0 * v.vb, vn=3.0 * v.vn)
-    assert error_triple(ZERO, w, mesh, k, 4) == pytest.approx(
-        3.0 * error_triple(ZERO, v, mesh, k, 4), rel=1e-12
+    ops = element_operators(mesh, k, 4)
+    assert error_triple(ZERO, w, mesh, k, 4, ops=ops) == pytest.approx(
+        3.0 * error_triple(ZERO, v, mesh, k, 4, ops=ops), rel=1e-12
     )
     assert error_2h(ZERO, w, mesh, k) == pytest.approx(
         3.0 * error_2h(ZERO, v, mesh, k), rel=1e-12
@@ -164,26 +165,27 @@ def test_exact_interpolant_has_small_triple_error():
     for n in (4, 8):
         mesh = build_triangular(n)
         q = interpolate_qh(ex.u, ex.grad, mesh, 2)
-        errs.append(error_triple(ex, q, mesh, 2, 4))
+        errs.append(error_triple(ex, q, mesh, 2, 4, ops=element_operators(mesh, 2, 4)))
     assert errs[1] < 0.6 * errs[0]
 
 
 @pytest.mark.parametrize("j", [3, 4, 6])
 def test_error_triple_takes_the_degree_of_its_operators(j):
-    # Given operators, their own P_j degree counts, not the j argument.
+    # The operators' own P_j degree counts, not the j argument.
     mesh = build_triangular(4)
     ex = builtin_solution(1)
     q = interpolate_qh(ex.u, ex.grad, mesh, 2)
-    want = error_triple(ex, q, mesh, 2, 5)
-    assert want != error_triple(ex, q, mesh, 2, 4)
+    want = error_triple(ex, q, mesh, 2, 5, ops=element_operators(mesh, 2, 5))
+    assert want != error_triple(ex, q, mesh, 2, 4, ops=element_operators(mesh, 2, 4))
     assert error_triple(ex, q, mesh, 2, j, ops=element_operators(mesh, 2, 5)) == want
 
 
 def test_error_pipeline_small_solve():
     mesh = build_triangular(4)
     ex = builtin_solution(1)
-    uh = solve_biharmonic(mesh, 2, 4, ex.source)
-    e3 = error_triple(ex, uh, mesh, 2, 4)
+    ops = element_operators(mesh, 2, 4)
+    uh = solve_biharmonic(mesh, 2, 4, ex.source, ops=ops)
+    e3 = error_triple(ex, uh, mesh, 2, 4, ops=ops)
     e2 = error_2h(ex, uh, mesh, 2)
     el = error_l2(ex, uh, mesh)
     assert 0.0 < el < e3
@@ -195,14 +197,15 @@ def test_error_pipeline_small_solve():
 def test_study_rows_equal_standalone_errors(family, builder, n):
     # run_study shares its element operators with the solve and error_triple;
     # error_2h and error_l2 take none.  Each row must be what the
-    # standalone calls, which build everything themselves, give bit for bit.
+    # standalone calls, on operators built here, give bit for bit.
     ex = builtin_solution(1)
     k = 2
     j = StudyConfig(family=family, k=k).effective_j()
     row = run_study(StudyConfig(example=1, family=family, k=k, levels=[n])).rows[0]
     mesh = builder(n)
-    u_h = solve_biharmonic(mesh, k, j, ex.source, boundary=(ex.u, ex.grad))
-    assert row["err_triple"] == error_triple(ex, u_h, mesh, k, j)
+    ops = element_operators(mesh, k, j)
+    u_h = solve_biharmonic(mesh, k, j, ex.source, boundary=(ex.u, ex.grad), ops=ops)
+    assert row["err_triple"] == error_triple(ex, u_h, mesh, k, j, ops=ops)
     assert row["err_2h"] == error_2h(ex, u_h, mesh, k)
     assert row["err_l2"] == error_l2(ex, u_h, mesh)
 
@@ -249,7 +252,8 @@ def solved_case(name, k):
     """A mesh and the example-2 solution on it with its boundary data."""
     make, extra = REFERENCE_MESHES[name]
     mesh, ex = make(), builtin_solution(2)
-    return mesh, solve_biharmonic(mesh, k, k + extra, ex.source, boundary=(ex.u, ex.grad))
+    return mesh, solve_biharmonic(mesh, k, k + extra, ex.source, boundary=(ex.u, ex.grad),
+                                  ops=element_operators(mesh, k, k + extra))
 
 
 @pytest.mark.parametrize("k", [2, 3])

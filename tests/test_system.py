@@ -138,7 +138,7 @@ def test_numbering_cuts_fill():
     # minimum-degree order of the same matrix.
     mesh = build_triangular(32)
     dm = build_dof_map(mesh, 2)
-    system = assemble(mesh, 2, 4, zero_f, dm)
+    system = assemble(mesh, 2, 4, zero_f, dm, ops=element_operators(mesh, 2, 4))
     a = system.A.tocsc()
     fill = {}
     for spec in ("NATURAL", "MMD_AT_PLUS_A"):
@@ -150,7 +150,7 @@ def test_numbering_cuts_fill():
 
 def test_zero_load_gives_zero_solution():
     mesh = build_triangular(2)
-    u = solve_biharmonic(mesh, 2, 4, zero_f)
+    u = solve_biharmonic(mesh, 2, 4, zero_f, ops=element_operators(mesh, 2, 4))
     assert np.allclose(u.v0, 0.0)
     assert np.allclose(u.vb, 0.0)
     assert np.allclose(u.vn, 0.0)
@@ -162,7 +162,9 @@ def test_solve_does_not_load_scipy_special():
         "import sys\n"
         "import numpy as np\n"
         "import sfwg\n"
-        "u = sfwg.solve_biharmonic(sfwg.build_triangular(2), 2, 4, lambda p: np.ones(len(p)))\n"
+        "mesh = sfwg.build_triangular(2)\n"
+        "u = sfwg.solve_biharmonic(mesh, 2, 4, lambda p: np.ones(len(p)),\n"
+        "                          ops=sfwg.element_operators(mesh, 2, 4))\n"
         "assert np.isfinite(u.v0).all()\n"
         "sys.exit('scipy.special' in sys.modules)\n"
     )
@@ -174,7 +176,7 @@ def test_solve_does_not_load_scipy_special():
 
 
 def test_load_uses_each_operators_own_j():
-    # Given operators, assemble integrates the load at their degree op.j,
+    # assemble integrates the load at the operators' degree op.j,
     # so the j argument does not change the system.
     mesh = build_polygonal(3)
     dm = build_dof_map(mesh, 2)
@@ -223,7 +225,7 @@ def test_load_and_error_triple_read_the_operators_rule(builder, extra, k):
 def test_matrix_symmetric():
     mesh = build_triangular(4)
     dm = build_dof_map(mesh, 2)
-    system = assemble(mesh, 2, 4, zero_f, dm)
+    system = assemble(mesh, 2, 4, zero_f, dm, ops=element_operators(mesh, 2, 4))
     a = system.A
     asym = abs(a - a.T).max()
     assert asym <= 1e-12 * abs(a).max()
@@ -232,7 +234,7 @@ def test_matrix_symmetric():
 def test_matrix_positive_definite():
     mesh = build_triangular(2)
     dm = build_dof_map(mesh, 2)
-    system = assemble(mesh, 2, 4, zero_f, dm)
+    system = assemble(mesh, 2, 4, zero_f, dm, ops=element_operators(mesh, 2, 4))
     w = np.linalg.eigvalsh(system.A.toarray())
     assert w.min() > 0.0
 
@@ -261,7 +263,8 @@ def test_patch_reproduces_polynomials(k, u, grad, lap, n):
     # deg u <= k and f = lap^2 u = 0: the discrete solution with projected
     # boundary data is exactly the interpolant of u.
     mesh = build_triangular(n)
-    uh = solve_biharmonic(mesh, k, k + 2, zero_f, boundary=(u, grad))
+    uh = solve_biharmonic(mesh, k, k + 2, zero_f, boundary=(u, grad),
+                          ops=element_operators(mesh, k, k + 2))
     qh = interpolate_qh(u, grad, mesh, k)
     err2 = 0.0
     centroid, diameter = cell_frames(mesh)
@@ -285,7 +288,7 @@ def test_galerkin_orthogonality():
         return np.sin(np.pi * p[:, 0]) * p[:, 1]
 
     dm = build_dof_map(mesh, k)
-    system = assemble(mesh, k, j, f, dm)
+    system = assemble(mesh, k, j, f, dm, ops=element_operators(mesh, k, j))
     x = solve(system)
     r = system.A @ x - system.b
     rng = np.random.default_rng(3)
@@ -300,8 +303,9 @@ def test_solution_linearity():
     def f(p):
         return p[:, 0] * p[:, 1]
 
-    u1 = solve_biharmonic(mesh, 2, 4, f)
-    u2 = solve_biharmonic(mesh, 2, 4, lambda p: 2.0 * f(p))
+    ops = element_operators(mesh, 2, 4)
+    u1 = solve_biharmonic(mesh, 2, 4, f, ops=ops)
+    u2 = solve_biharmonic(mesh, 2, 4, lambda p: 2.0 * f(p), ops=ops)
     assert np.allclose(u2.v0, 2.0 * u1.v0, atol=1e-10)
     assert np.allclose(u2.vb, 2.0 * u1.vb, atol=1e-10)
 
@@ -309,7 +313,8 @@ def test_solution_linearity():
 def test_solve_meets_backward_error_tolerance():
     mesh = build_triangular(8)
     dm = build_dof_map(mesh, 2)
-    system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm)
+    system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm,
+                      ops=element_operators(mesh, 2, 4))
     x = solve(system, tol=1e-12)
     assert backward_error(system, x) <= 1e-12
 
@@ -317,7 +322,8 @@ def test_solve_meets_backward_error_tolerance():
 def test_solve_raises_on_unreachable_tolerance():
     mesh = build_triangular(4)
     dm = build_dof_map(mesh, 2)
-    system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm)
+    system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm,
+                      ops=element_operators(mesh, 2, 4))
     with pytest.raises(SolverError, match="backward error"):
         solve(system, tol=1e-18)
 
@@ -327,7 +333,8 @@ def test_solve_raises_on_nan_source():
     # through; the solve must accept only ``err <= tol``.
     mesh = build_triangular(4)
     dm = build_dof_map(mesh, 2)
-    system = assemble(mesh, 2, 4, lambda p: np.full(len(p), np.nan), dm)
+    system = assemble(mesh, 2, 4, lambda p: np.full(len(p), np.nan), dm,
+                      ops=element_operators(mesh, 2, 4))
     with pytest.raises(SolverError, match="backward error nan"):
         solve(system)
 
@@ -344,7 +351,8 @@ def test_solve_takes_csr_with_unsorted_indices():
     # what it is given in place; A must come out unchanged.
     mesh = build_triangular(4)
     dm = build_dof_map(mesh, 2)
-    system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm)
+    system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm,
+                      ops=element_operators(mesh, 2, 4))
     A = system.A
     rev = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(A.indptr[:-1], A.indptr[1:])])
     unsorted = sp.csr_matrix((A.data[rev], A.indices[rev], A.indptr.copy()), shape=A.shape)
@@ -357,7 +365,8 @@ def test_solve_takes_csr_with_unsorted_indices():
 def test_solve_matches_dense_solve():
     mesh = build_triangular(4)
     dm = build_dof_map(mesh, 2)
-    system = assemble(mesh, 2, 4, lambda p: np.cos(p[:, 0]) + p[:, 1], dm)
+    system = assemble(mesh, 2, 4, lambda p: np.cos(p[:, 0]) + p[:, 1], dm,
+                      ops=element_operators(mesh, 2, 4))
     x = solve(system)
     ref = np.linalg.solve(system.A.toarray(), system.b)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -370,14 +379,15 @@ def test_energy_norm_positive_on_free_space(builder, j):
     mesh = builder(4)
     k = 2
     dm = build_dof_map(mesh, k)
-    system = assemble(mesh, k, j, zero_f, dm)
+    ops = element_operators(mesh, k, j)
+    system = assemble(mesh, k, j, zero_f, dm, ops=ops)
     rng = np.random.default_rng(11)
     for _ in range(10):
         x = rng.standard_normal(dm.n_free)
         quad = float(x @ (system.A @ x))
         assert quad > 0.0
         v = weak_function_from_free(dm, x)
-        assert error_triple(ZERO, v, mesh, k, j) == pytest.approx(
+        assert error_triple(ZERO, v, mesh, k, j, ops=ops) == pytest.approx(
             np.sqrt(quad), rel=1e-9
         )
 

@@ -67,6 +67,9 @@ def test_rejects_j_not_exceeding_k():
     mesh = build_triangular(1)
     with pytest.raises(ValueError, match="j=2"):
         element_operators(mesh, 2, 2)
+    # j = k+1: 2k nv edge DOFs map into P_{k+1}, a kernel beyond 2k+1.
+    with pytest.raises(ValueError, match="j=3"):
+        element_operators(mesh, 2, 3)
 
 
 def test_zero_maps_to_zero():
