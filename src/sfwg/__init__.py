@@ -14,12 +14,7 @@ from .mesh import Mesh, build_polygonal, build_triangular, dump_mesh, load_mesh,
 from .solutions import builtin_solution
 from .study import StudyConfig, run_study, write_report
 from .system import build_dof_map, assemble, solve, solve_biharmonic
-from .weakop import (
-    WeakFunction,
-    apply_weak_laplacian,
-    element_operators,
-    interpolate_qh,
-)
+from .weakop import WeakFunction, apply_weak_laplacian, element_operators
 
 __all__ = [
     "ConvergenceReport",
@@ -39,7 +34,6 @@ __all__ = [
     "error_2h",
     "error_l2",
     "error_triple",
-    "interpolate_qh",
     "load_mesh",
     "run_study",
     "solve",

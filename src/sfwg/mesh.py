@@ -211,11 +211,10 @@ def _build(vertices, cells, h=None):
     t /= length[:, None]
     normals = np.stack([-t[:, 1], t[:, 0]], axis=1)  # tangent rotated +90 degrees
 
-    # sigma = n_e . n_outward per half-edge: both normals come from the
-    # same two vertices, so the product is +-1 to a few ulps.
-    n_out = _outward(vertices[flat[succ]] - vertices[flat])
-    dot = (normals[half_edge] * n_out).sum(axis=1)
-    sigma = np.where(dot > 0, 1.0, -1.0)
+    # sigma = n_e . n_outward per half-edge: n_e is the left normal of
+    # lo -> hi and n_outward the right normal of the half-edge, as the cell
+    # is CCW, so sigma is -1 exactly where the half-edge runs lo -> hi.
+    sigma = np.where(flat < flat[succ], -1.0, 1.0)
     # Two CCW cells run an edge they share in opposite directions; cells
     # that run it the same way overlap, folded over the edge.
     folded = (np.bincount(half_edge, sigma) != 0.0) & (edge_cells[:, 1] >= 0)

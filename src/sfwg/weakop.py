@@ -1,5 +1,5 @@
-"""Element-local discrete weak Laplacian, the weak-function interpolant,
-and the stack tables that every cell and edge integral is formed from.
+"""Element-local discrete weak Laplacian, the edge projection of boundary
+data, and the stack tables that every cell and edge integral is formed from.
 
 A weak function is the triple {v0, v_b, v_n n_e}: a P_k polynomial per
 cell, and P_{k-1} polynomials per edge for the trace and for the normal
@@ -242,24 +242,3 @@ def project_edge_data(mesh, edges, k: int, u=None, grad=None):
     vn = np.zeros((len(edges), k)) if grad is None else project(
         np.sum(at_points(grad, rule.points) * mesh.edge_normal[edges, None, :], axis=-1))
     return vb, vn
-
-
-def interpolate_qh(u, grad_u, mesh, k: int) -> WeakFunction:
-    """Interpolate a smooth field into the weak space.
-
-    v0 = L2 cell projection of u onto P_k; v_b = edge projection of the
-    trace; v_n = edge projection of grad u . n_e.
-    """
-    v0 = np.empty((mesh.n_cells, dim_pk(k)))
-    for stack in cell_stacks(mesh):
-        ref, of = stack.shapes
-        rule, vals = cell_tables(ref, k, cell_rule_degree(k))
-        wvt = (rule.weights[..., None] * vals).swapaxes(-1, -2)
-        try:
-            l_inv = np.linalg.inv(np.linalg.cholesky(wvt @ vals))  # V L^-T is orthonormal
-        except np.linalg.LinAlgError as exc:
-            raise SingularCellError(f"singular cell mass matrix: {exc}") from exc
-        v0[stack.cells] = per_cell(l_inv.swapaxes(-1, -2), of,
-                                   per_cell(l_inv @ wvt, of, on_cells(u, stack, rule)))
-    vb, vn = project_edge_data(mesh, np.arange(mesh.n_edges), k, u, grad_u)
-    return WeakFunction(k=k, v0=v0, vb=vb, vn=vn)

@@ -27,10 +27,10 @@ from sfwg.weakop import (
     apply_weak_laplacian,
     cell_rule_degree,
     element_operators,
-    interpolate_qh,
     local_dofs,
 )
 from test_mesh import cell_frames
+from test_weakop import interpolate_qh
 
 
 def _report(ok: bool, label: str):

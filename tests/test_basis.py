@@ -17,8 +17,9 @@ from sfwg.basis import (
 )
 from sfwg.mesh import build_triangular, load_mesh
 from sfwg.quadrature import quad_cell, quad_edge
-from sfwg.weakop import interpolate_qh, project_edge_data
+from sfwg.weakop import project_edge_data
 from test_mesh import cell_frames
+from test_weakop import interpolate_qh
 
 TRI = np.array([[0.1, 0.2], [0.7, 0.15], [0.35, 0.9]])
 PENTAGON = np.array([[0.0, 0.0], [0.6, -0.1], [0.9, 0.4], [0.5, 0.8], [-0.1, 0.5]])

@@ -1,13 +1,16 @@
 import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sfwg.cli
 import sfwg.study
 import sfwg.system
 from sfwg.cli import main
+from sfwg.errors import ConvergenceReport
 from sfwg.mesh import load_mesh
 from sfwg.quadrature import quad_cell
 from sfwg.study import (
@@ -18,7 +21,8 @@ from sfwg.study import (
     run_study,
     write_report,
 )
-from sfwg.system import SolverError
+from sfwg.solutions import builtin_solution
+from sfwg.system import LinearSystem, SolverError, solve
 from test_mesh import DOUBLY_WOUND
 from test_quadrature import monomial_integral
 
@@ -163,6 +167,8 @@ def test_mesh_subcommand_roundtrip(tmp_path, capsys):
         ["solve", "--mesh", "poly", "--k", "2", "--j", "3"],
         ["study", "--levels", "4,2"],
         ["study", "--levels", "abc"],
+        ["study", "--levels", "0,2"],
+        ["study", "--mesh", "poly", "--levels", "1,2"],
         ["study", "--mesh", "hex"],
         ["study", "--mesh", "file:"],
         ["solve", "--k", "1"],
@@ -389,3 +395,21 @@ def test_study_config_validation():
     with pytest.raises(ConfigError):
         StudyConfig(k=2, levels=[4, 4], **base).validate()
     StudyConfig(k=2, levels=[2, 4], **base).validate()
+
+
+def test_api_rejects_bad_inputs():
+    base = dict(k=2, levels=[2, 4])
+    for config, message in [
+        (StudyConfig(example=3, **base), "example must be 1 or 2, got 3"),
+        (StudyConfig(family="hex", **base), "mesh family must be one of "),
+        (StudyConfig(family="files", **base), "mesh family 'files' needs at least one mesh file"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            config.validate()
+    with pytest.raises(ConfigError, match="^unknown output format 'html'$"):
+        write_report(ConvergenceReport(), "html", io.StringIO())
+    with pytest.raises(ValueError, match=r"^unknown built-in solution id 3 \(expected 1 or 2\)$"):
+        builtin_solution(3)
+    singular = LinearSystem(A=sp.csr_matrix(np.diag([1.0, 0.0])), b=np.ones(2))
+    with pytest.raises(SolverError, match="^non-positive diagonal entry; matrix not SPD$"):
+        solve(singular)

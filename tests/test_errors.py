@@ -23,11 +23,11 @@ from sfwg.weakop import (
     edge_rule_degree,
     edge_tables,
     element_operators,
-    interpolate_qh,
     on_cells,
     per_cell,
 )
 from test_system import REFERENCE_MESHES
+from test_weakop import interpolate_qh
 
 
 def zero_weak(mesh, k):
@@ -234,19 +234,6 @@ def reference_error_2h(exact, u_h, mesh, k):
     return math.sqrt(total)
 
 
-def reference_v0(u, mesh, k):
-    """The v0 of ``interpolate_qh``: per cell, its gathered mass matrix
-    solved against the moments of u."""
-    v0 = np.empty((mesh.n_cells, dim_pk(k)))
-    for stack in cell_stacks(mesh):
-        ref, of = stack.shapes
-        rule, vals = cell_tables(ref, k, cell_rule_degree(k))
-        wvt = (rule.weights[..., None] * vals).swapaxes(-1, -2)
-        moments = per_cell(wvt, of, on_cells(u, stack, rule))
-        v0[stack.cells] = np.linalg.solve((wvt @ vals)[of], moments[..., None])[..., 0]
-    return v0
-
-
 @functools.lru_cache(maxsize=None)
 def solved_case(name, k):
     """A mesh and the example-2 solution on it with its boundary data."""
@@ -263,13 +250,3 @@ def test_error_2h_matches_edge_quadrature_reference(name, k):
     ex = builtin_solution(2)
     assert error_2h(ex, u_h, mesh, k) == pytest.approx(
         reference_error_2h(ex, u_h, mesh, k), rel=1e-12, abs=0.0)
-
-
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("name", REFERENCE_MESHES)
-def test_interpolant_matches_per_cell_mass_solve_reference(name, k):
-    mesh, ex = REFERENCE_MESHES[name][0](), builtin_solution(2)
-    # Relative to each cell's coefficient vector: its small coefficients
-    # differ by roundoff of the large ones.
-    got, want = interpolate_qh(ex.u, ex.grad, mesh, k).v0, reference_v0(ex.u, mesh, k)
-    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))

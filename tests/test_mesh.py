@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,30 @@ def test_load_rejects_bad_cell_count():
 def test_load_rejects_bad_vertex_count(count):
     text = f"polymesh 1\nvertices {count}\ncells 1\n0 1 2\n"
     with pytest.raises(MeshFormatError, match=f"^line 2: bad vertex count '{count}'$"):
+        load_mesh(io.StringIO(text))
+
+
+TRIANGLE = "polymesh 1\nvertices 3\n0 0\n1 0\n0 1\n"
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("polymesh 1\nvertex 3\n", MeshFormatError, "line 2: expected 'vertices N'"),
+    ("polymesh 1\nvertices 3\n0 0 0\n", MeshFormatError, "line 3: expected 'x y'"),
+    ("polymesh 1\nvertices 3\n0 y\n", MeshFormatError, "line 3: bad coordinate"),
+    (TRIANGLE + "cell 1\n0 1 2\n", MeshFormatError, "line 6: expected 'cells M'"),
+    (TRIANGLE + "cells 1\n0 1 two\n", MeshFormatError, "line 7: bad vertex index"),
+    (TRIANGLE + "cells 1\n0 1\n", MeshFormatError, "line 7: cell 0 needs >= 3 vertices"),
+    (TRIANGLE + "cells 1\n0 1 2\n0 1 2\n", MeshFormatError,
+     "line 8: trailing content after cells"),
+    ("polymesh 1\nvertices 3\n0 0\n", MeshFormatError,
+     "unexpected end of file: expected vertex coordinates"),
+    # Vertices 1 and 2 at one point: the cell's second edge has no length.
+    ("polymesh 1\nvertices 4\n0 0\n1 0\n1 0\n0 1\ncells 1\n0 1 2 3\n", MeshTopologyError,
+     "edge 1 has zero length"),
+], ids=["vertices", "xy", "coordinate", "cells", "index", "short-cell", "trailing", "eof",
+        "zero-length"])
+def test_load_rejects_malformed_text(text, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         load_mesh(io.StringIO(text))
 
 

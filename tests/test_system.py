@@ -31,13 +31,13 @@ from sfwg.weakop import (
     cell_rule_degree,
     cell_tables,
     element_operators,
-    interpolate_qh,
     local_dofs,
     on_cells,
     per_cell,
 )
 
 from test_mesh import cell_frames, perturbed
+from test_weakop import interpolate_qh
 
 
 def zero_f(p):

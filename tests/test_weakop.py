@@ -11,14 +11,18 @@ from sfwg.basis import (
     legendre_values,
     monomial_exponents,
 )
-from sfwg.mesh import build_polygonal, build_triangular
+from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
 from sfwg.quadrature import quad_cell, quad_edge
 from sfwg.weakop import (
     WeakFunction,
     apply_weak_laplacian,
+    cell_rule_degree,
+    cell_tables,
     element_operators,
-    interpolate_qh,
     local_dofs,
+    on_cells,
+    per_cell,
+    project_edge_data,
 )
 from test_mesh import cell_frames, perturbed
 
@@ -42,6 +46,21 @@ def zero_weak(mesh, k):
         vb=np.zeros((mesh.n_edges, k)),
         vn=np.zeros((mesh.n_edges, k)),
     )
+
+
+def interpolate_qh(u, grad_u, mesh, k):
+    """The interpolant Q_h u of a smooth field into the weak space: v0 per
+    cell its gathered mass matrix solved against the moments of u, and v_b
+    and v_n the edge projections of the trace and of grad u . n_e."""
+    v0 = np.empty((mesh.n_cells, dim_pk(k)))
+    for stack in cell_stacks(mesh):
+        ref, of = stack.shapes
+        rule, vals = cell_tables(ref, k, cell_rule_degree(k))
+        wvt = (rule.weights[..., None] * vals).swapaxes(-1, -2)
+        moments = per_cell(wvt, of, on_cells(u, stack, rule))
+        v0[stack.cells] = np.linalg.solve((wvt @ vals)[of], moments[..., None])[..., 0]
+    vb, vn = project_edge_data(mesh, np.arange(mesh.n_edges), k, u, grad_u)
+    return WeakFunction(k=k, v0=v0, vb=vb, vn=vn)
 
 
 def local(v, mesh, op):
