@@ -11,7 +11,7 @@ the clamped problem, or the edge projections of supplied boundary data
 (given relative to the fixed edge normal n_e), and their stiffness columns
 are moved to the right-hand side.  The load is read from the operators
 (``op.moments``).  Free positions are int32, the index type of the
-sparse matrices, so the assembly triplets need no conversion.
+sparse matrices, so they are A's column indices as they stand.
 
 Solve: A factored as assembled, diagonal pivots, refinement to ``tol``.
 Diagonal pivots make a diagonal scaling of A inert, so none is applied.
@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import dim_pk
-from .weakop import WeakFunction, local_dofs, project_edge_data
+from .weakop import WeakFunction, _chunks, local_dofs, project_edge_data
 
 
 class SolverError(RuntimeError):
@@ -125,43 +125,54 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
 
     ``ops`` is the list that ``element_operators`` builds for ``mesh``, k
     and j; the load is integrated under each operator's own cell rule, and
-    ``j`` is not read.  The local stiffness is formed once per shape.
-    Stacks and their cells are processed in a fixed order, so the result is
-    bit-reproducible.  The (row, column, value) triplets go, with int32
-    indices, into arrays sized in advance, and one stack's gathered element
-    blocks are alive at a time.
+    ``j`` is not read.  The local stiffness is formed once per shape and
+    gathered per cell a chunk at a time.  Row r of A holds the free columns
+    of the cells that have DOF r: its cell for v0, the two cells of its
+    edge for v_b and v_n, the lower first.  So each row's length is known in
+    advance, the blocks go straight into A's CSR arrays, and no entry sums
+    more than two terms, in either order: A is bit-reproducible.
     """
     n, dk = dofmap.n_free, dim_pk(k)
     constrained = dofmap.constrained.flat()
     locs = [local_dofs(mesh, op.stack, k) for op in ops]
     idxs = [dofmap.pos[loc] for loc in locs]           # (nc, nloc), -1 if constrained
-    size = sum(int((np.count_nonzero(idx >= 0, axis=1) ** 2).sum()) for idx in idxs)
-    rows, cols = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
-    vals = np.empty(size)
-    b, start = np.zeros(n), 0
+    width = np.zeros(mesh.n_cells, dtype=np.intp)      # free DOFs of each cell
+    for op, idx in zip(ops, idxs):
+        width[op.stack.cells] = np.count_nonzero(idx >= 0, axis=1)
+    # A boundary edge's DOFs are constrained, so its missing cell is not read.
+    edge = np.repeat(width[mesh.edge_cells].sum(axis=1)[:, None], k, axis=1)
+    length = WeakFunction(k=k, v0=np.repeat(width[:, None], dk, axis=1),
+                          vb=edge, vn=edge).flat()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr[1 + dofmap.pos[dofmap.pos >= 0]] = length[dofmap.pos >= 0]
+    np.cumsum(indptr, out=indptr)  # A's index type now: a cast at the end would pin the heap
+    indptr = indptr.astype(np.int32 if indptr[-1] < 2**31 else np.int64)
+    cols, vals, b = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1]), np.zeros(n)
     for op, loc, idx in zip(ops, locs, idxs):
+        stack, of = op.stack, op.stack.shapes[1]
         free = idx >= 0
-        of = op.stack.shapes[1]
-        ke = (op.matrix.swapaxes(-1, -2) @ op.matrix)[of]  # (nc, nloc, nloc)
-        pair = free[:, :, None] & free[:, None, :]
-        stop = start + np.count_nonzero(pair)
-        rows[start:stop] = np.broadcast_to(idx[:, :, None], ke.shape)[pair]
-        cols[start:stop] = np.broadcast_to(idx[:, None, :], ke.shape)[pair]
-        vals[start:stop] = ke[pair]
-        start = stop
-
+        lo, hi = mesh.edge_cells[stack.edges].transpose(2, 0, 1)
+        after = np.where(hi == stack.cells[:, None], width[lo], 0)  # the higher cell's offset
+        start = indptr[idx]
+        start[:, dk:] += np.repeat(after, 2 * k, axis=1)
+        column = np.cumsum(free, axis=1) - 1             # place among the cell's free DOFs
+        kshape = op.matrix.swapaxes(-1, -2) @ op.matrix  # (S, nloc, nloc)
         # Load (f, phi_i)_T on the v0 block, less the constrained columns,
         # which only cells with a constrained DOF have.
         rhs = np.zeros(idx.shape)
-        boundary = ~free.all(axis=1)
-        rhs[boundary] = -(ke[boundary] @ constrained[loc[boundary]][..., None])[..., 0]
+        for s in _chunks(len(of), kshape[0].size):
+            ke, pair = kshape[of[s]], free[s, :, None] & free[s, None, :]
+            at = (start[s, :, None] + column[s, None, :])[pair]
+            cols[at] = np.broadcast_to(idx[s, None, :], ke.shape)[pair]
+            vals[at] = ke[pair]
+            boundary = ~free[s].all(axis=1)
+            rhs[s][boundary] = -(ke[boundary] @ constrained[loc[s][boundary]][..., None])[..., 0]
         rhs[:, :dk] += op.moments(f, dk)
-        # A DOF lies in one cell or on the edge of two, so no sum of b
-        # depends on the order in which the stacks add to it.
+        # No sum of b depends on the order in which the stacks add to it.
         b += np.bincount(idx[free], weights=rhs[free], minlength=n)
-        del ke, pair
 
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    A = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
+    A.sum_duplicates()
     return LinearSystem(A=A, b=b)
 
 
@@ -169,12 +180,15 @@ def backward_error(system: LinearSystem, x) -> float:
     """Normwise backward error ||Ax - b|| / (||A|| ||x|| + ||b||).
 
     ||A|| is the 1-norm, taken as the largest row sum of |A|, which it is
-    for the symmetric A of ``assemble``.
+    for the symmetric A of ``assemble``, over a chunk of rows at a time.
     """
-    A = system.A
+    A, anorm = system.A, 0.0
     r = float(np.linalg.norm(A @ x - system.b))
-    abs_a = sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
-    anorm = float((abs_a @ np.ones(A.shape[1])).max())
+    for s in _chunks(A.shape[0], int(np.diff(A.indptr).max(initial=1))):
+        ptr = A.indptr[s.start:s.stop + 1]
+        rows = sp.csr_matrix((np.abs(A.data[ptr[0]:ptr[-1]]), A.indices[ptr[0]:ptr[-1]],
+                              ptr - ptr[0]), shape=(len(ptr) - 1, A.shape[1]))
+        anorm = max(anorm, float((rows @ np.ones(A.shape[1])).max()))
     return r / (anorm * float(np.linalg.norm(x)) + float(np.linalg.norm(system.b)))
 
 

@@ -82,16 +82,24 @@ def on_cells(f, stack: CellStack, rule):
     return at_points(f, stack.polygons[:, :1] - ref.polygons[of, :1] + rule.points[of])
 
 
+CHUNK = 1 << 18  # the most numbers in one gathered chunk of per-cell or per-row data
+
+
+def _chunks(n, size):
+    """Slices of range(n), each of CHUNK // size rows (one row at least)."""
+    step = max(1, CHUNK // size)
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
 def per_cell(mats, of, vecs):
     """``mats[of[c]] @ vecs[c]`` for every cell c, (nc, m), from per-shape
-    matrices (S, m, n) and per-cell vectors (nc, n).  Unless ``of`` is the
-    identity, the matrices are gathered 2^18 numbers at a time at most."""
+    matrices (S, m, n) and per-cell vectors (nc, n).  ``of`` is a whole shape
+    index, never a slice: the identity if as long as ``mats``, else gathered."""
     if len(mats) == len(of):
         return (mats @ vecs[..., None])[..., 0]
     out = np.empty((len(of), mats.shape[1]))
-    step = max(1, (1 << 18) // mats[0].size)
-    for a in range(0, len(of), step):
-        out[a:a + step] = (mats[of[a:a + step]] @ vecs[a:a + step, :, None])[..., 0]
+    for s in _chunks(len(of), mats[0].size):
+        out[s] = (mats[of[s]] @ vecs[s, :, None])[..., 0]
     return out
 
 
@@ -154,10 +162,16 @@ class StackOperator:
 
     def moments(self, f, m: int) -> np.ndarray:
         """(f, V_i)_T for the leading ``m`` Legendre products of every cell,
-        (nc, m), under the operator's cell rule."""
-        of = self.stack.shapes[1]
-        g = on_cells(f, self.stack, self.rule) * np.sqrt(self.rule.weights)[of]
-        return per_cell(self.table[..., :m].swapaxes(-1, -2), of, g)
+        (nc, m), under the operator's cell rule, a chunk of cells at a time."""
+        ref, of = self.stack.shapes
+        mats, sqrt_w = self.table[..., :m].swapaxes(-1, -2), np.sqrt(self.rule.weights)
+        out = np.empty((len(of), m))
+        for s in _chunks(len(of), self.table[0].size):
+            g = at_points(f, self.stack.polygons[s, :1] - ref.polygons[of[s], :1]
+                          + self.rule.points[of[s]]) * sqrt_w[of[s]]
+            rows = s if len(mats) == len(of) else of[s]   # no gather if of is the identity
+            out[s] = (mats[rows] @ g[..., None])[..., 0]
+        return out
 
 
 def element_operators(mesh, k: int, j: int) -> list:

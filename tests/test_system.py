@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import sfwg
+from sfwg import weakop
 from sfwg.basis import dim_pk, from_legendre, legendre_values
 from sfwg.errors import ZERO, error_triple
 from sfwg.mesh import build_polygonal, build_triangular
@@ -27,6 +29,7 @@ from sfwg.system import (
 )
 from sfwg.solutions import builtin_solution
 from sfwg.weakop import (
+    WeakFunction,
     apply_weak_laplacian,
     cell_rule_degree,
     cell_tables,
@@ -477,21 +480,83 @@ def test_assembled_matrix_is_exactly_symmetric(name, k):
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", REFERENCE_MESHES)
-def test_assemble_matches_int64_triplet_reference(name, k):
+def test_assemble_matches_int64_triplet_reference(name, k, monkeypatch):
     mesh, dm, ops, f, system = reference_case(name, k)
     assert np.any(dm.constrained.flat() != 0.0)
     want = reference_assemble(mesh, k, f, dm, ops)
-    for got, ref in [(system.A.indptr, want.A.indptr), (system.A.indices, want.A.indices),
-                     (system.A.data, want.A.data), (system.b, want.b)]:
-        assert _same_bits(got, ref)
+    # Chunks of a few cells each, as on a mesh far larger than these.
+    monkeypatch.setattr(weakop, "CHUNK", 3 * ops[0].matrix.shape[-1] ** 2)
+    chunked = assemble(mesh, k, ops[0].j, f, dm, ops=ops)
+    for got in (system, chunked):
+        for a, ref in [(got.A.indptr, want.A.indptr), (got.A.indices, want.A.indices),
+                       (got.A.data, want.A.data), (got.b, want.b)]:
+            assert _same_bits(a, ref)
+
+
+@pytest.mark.parametrize("gather", ["stiffness", "moments", "projection"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", REFERENCE_MESHES)
+def test_gathers_in_chunks_of_shape_count_match_one_chunk(name, k, gather, monkeypatch):
+    # CHUNK set so that one gather takes as many cells of a stack at a time
+    # as the stack has shapes: a chunk's slice of the shape index is then
+    # as long as the per-shape arrays, mostly without being their identity.
+    # Assembly, the moments and error_triple keep every bit.
+    mesh, dm, ops, f, _ = reference_case(name, k)
+    ex = builtin_solution(1)
+    x = np.random.default_rng(23).standard_normal(len(dm.pos))
+    u_h = WeakFunction.from_flat(k, mesh.n_cells, x)
+
+    def results():
+        system = assemble(mesh, k, ops[0].j, f, dm, ops=ops)
+        return ([system.A.indptr, system.A.indices, system.A.data, system.b]
+                + [op.moments(f, dim_pk(op.j)) for op in ops],
+                error_triple(ex, u_h, mesh, k, ops[0].j, ops=ops))
+
+    monkeypatch.setattr(weakop, "CHUNK", 1 << 62)
+    want, want_triple = results()
+    for op in ops:
+        per_cell_size = {"stiffness": op.matrix.shape[-1] ** 2, "moments": op.table[0].size,
+                         "projection": op.r[0].size}[gather]
+        monkeypatch.setattr(weakop, "CHUNK", len(op.r) * per_cell_size)
+        got, got_triple = results()
+        assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
+        assert got_triple == want_triple
+
+
+def _traced_peak(call):
+    """The result of ``call()`` and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_and_backward_error_memory_is_bounded():
+    # The stiffness goes straight into A's CSR arrays, with no triplets and
+    # no second copy, and every per-cell gather is bounded by CHUNK; |A| is
+    # formed a chunk of rows at a time, so no copy of A sits by the factors.
+    mesh, k = build_triangular(64), 2
+    dm = build_dof_map(mesh, k, g_d=_boundary_u, g_n=_boundary_grad)
+    ops = element_operators(mesh, k, k + 2)
+    f = builtin_solution(1).source
+    system, peak = _traced_peak(lambda: assemble(mesh, k, k + 2, f, dm, ops=ops))
+    A = system.A
+    result = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + system.b.nbytes
+    assert peak <= 2 * result, f"assemble: peak {peak / result:.2f} x the result"
+    _, peak = _traced_peak(lambda: backward_error(system, np.ones(A.shape[0])))
+    assert peak <= 0.25 * result, f"backward_error: peak {peak / result:.2f} x the system"
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", REFERENCE_MESHES)
-def test_solve_matches_csc_copy_reference(name, k):
+def test_solve_matches_csc_copy_reference(name, k, monkeypatch):
     system = reference_case(name, k)[-1]
     x = solve(system)
     assert _same_bits(x, reference_solve(system))
+    assert backward_error(system, x) == reference_backward_error(system, x)
+    # |A| a few rows at a time, as on a mesh far larger than these.
+    monkeypatch.setattr(weakop, "CHUNK", 3 * int(np.diff(system.A.indptr).max()))
     assert backward_error(system, x) == reference_backward_error(system, x)
 
 
