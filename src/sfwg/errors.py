@@ -10,8 +10,9 @@ Three functionals are reported per run:
 * the plain L2 error of the cell-interior part.
 
 The first reads Pi_j lap u from the operators (``op.moments``); the others
-build rules and tables per shape, evaluate u per cell (``on_cells``) and
-apply the tables per cell (``per_cell``).  The edge terms of the second are
+build rules and tables per shape, and evaluate u (``on_cells``) and apply
+the tables a bounded chunk of cells at a time (``weakop._chunks``), so no
+gather grows with the mesh.  The edge terms of the second are
 coefficient norms in the orthonormal edge basis, the projections of u_h0
 onto it formed by one per-shape matrix each.
 """
@@ -26,6 +27,7 @@ from .mesh import cell_stacks
 from .weakop import (
     WeakFunction,
     _chunks,
+    _shape_rows,
     apply_weak_laplacian,
     cell_rule_degree,
     cell_tables,
@@ -33,7 +35,6 @@ from .weakop import (
     edge_tables,
     local_dofs,
     on_cells,
-    per_cell,
 )
 
 
@@ -118,12 +119,8 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
     total = 0.0
     for stack in cell_stacks(mesh):
         ref, of = stack.shapes
-        c0 = u_h.v0[stack.cells]
-        h_t = stack.diameter
         rule, vals = cell_tables(ref, k, cell_rule_degree(k + 2))
         lap_h = vals @ legendre_laplacian(k) / (0.25 * ref.diameter[:, None, None] ** 2)
-        lap = on_cells(exact.laplacian, stack, rule) - per_cell(lap_h, of, c0)
-        t_lap = np.sum(rule.weights[of] * lap * lap, axis=-1)
 
         # v_b, v_n and, on a straight edge, grad u_h0 . n lie in P_{k-1}(e),
         # so both edge terms are coefficient norms in the orthonormal edge
@@ -131,12 +128,17 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
         erule, chi, vk, grad_n = edge_tables(ref, k, k, edge_rule_degree(k, k + 2))
         wchi = (erule.weights[..., None] * chi).swapaxes(-1, -2)
         qb, qn = ((wchi @ t).reshape(len(vk), -1, vk.shape[-1]) for t in (vk, grad_n))
-        nc = len(stack.cells)
-        jump = u_h.vb[stack.edges].reshape(nc, -1) - per_cell(qb, of, c0)
-        flux = ((stack.sigma[..., None] * u_h.vn[stack.edges]).reshape(nc, -1)
-                - per_cell(qn, of, c0))
-        total += float(np.sum(t_lap + np.sum(jump * jump, axis=1) / h_t**3
-                              + np.sum(flux * flux, axis=1) / h_t))
+        per = np.empty(len(of))
+        for s in _chunks(len(of), lap_h[0].size + 2 * qb[0].size):
+            rows, c0 = _shape_rows(of, s, len(lap_h)), u_h.v0[stack.cells[s], :, None]
+            h_t = stack.diameter[s]
+            lap = on_cells(exact.laplacian, stack, rule, s) - (lap_h[rows] @ c0)[..., 0]
+            jump = u_h.vb[stack.edges[s]].reshape(len(c0), -1) - (qb[rows] @ c0)[..., 0]
+            flux = ((stack.sigma[s, :, None] * u_h.vn[stack.edges[s]]).reshape(len(c0), -1)
+                    - (qn[rows] @ c0)[..., 0])
+            per[s] = (np.sum(rule.weights[rows] * lap * lap, axis=-1)
+                      + np.sum(jump * jump, axis=1) / h_t**3 + np.sum(flux * flux, axis=1) / h_t)
+        total += float(np.sum(per))
     return math.sqrt(total)
 
 
@@ -145,8 +147,13 @@ def error_l2(exact: ExactSolution, u_h: WeakFunction, mesh):
     k = u_h.k
     total = 0.0
     for stack in cell_stacks(mesh):
-        ref, of = stack.shapes
-        rule, vals = cell_tables(ref, k, cell_rule_degree(k + 2))
-        diff = on_cells(exact.u, stack, rule) - per_cell(vals, of, u_h.v0[stack.cells])
-        total += float(np.sum(rule.weights[of] * diff * diff))
+        of = stack.shapes[1]
+        rule, vals = cell_tables(stack.shapes[0], k, cell_rule_degree(k + 2))
+        per = np.empty(len(of))
+        for s in _chunks(len(of), vals[0].size):
+            rows = _shape_rows(of, s, len(vals))
+            diff = (on_cells(exact.u, stack, rule, s)
+                    - (vals[rows] @ u_h.v0[stack.cells[s], :, None])[..., 0])
+            per[s] = np.sum(rule.weights[rows] * diff * diff, axis=1)
+        total += float(np.sum(per))
     return math.sqrt(total)

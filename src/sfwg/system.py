@@ -62,50 +62,106 @@ def build_dof_map(mesh, k, g_d=None, g_n=None) -> DofMap:
     boundary = np.flatnonzero(mesh.edge_boundary)
     constrained.vb[boundary], constrained.vn[boundary] = project_edge_data(
         mesh, boundary, k, g_d, g_n)
-    interior = np.repeat(~mesh.edge_boundary[:, None], k, axis=1)
-    free = WeakFunction(k=k, v0=np.ones_like(constrained.v0, dtype=bool),
-                        vb=interior, vn=interior).flat()
+    # The DOFs of ``flat`` come in blocks of equal rank: a cell's v0, then an
+    # edge's v_b, then its v_n.  A stable sort of the free blocks, so that a
+    # leaf's v0 comes before its uncut edges, gives each block's first position.
     cell_rank, edge_rank = _dissection_ranks(mesh)
-    edge_rank = np.repeat(edge_rank[:, None], k, axis=1)
-    rank = WeakFunction(k=k, v0=np.repeat(cell_rank[:, None], dim_pk(k), axis=1),
-                        vb=edge_rank, vn=edge_rank).flat()
-    # The sort is stable, so a leaf's v0 comes before its uncut edges.
-    index = np.flatnonzero(free)
-    pos = np.full(len(free), -1, dtype=np.int32)
-    pos[index[np.argsort(rank[index], kind="stable")]] = np.arange(len(index))
+    rank = np.concatenate([cell_rank, edge_rank, edge_rank])
+    width = np.repeat([dim_pk(k), k, k], [mesh.n_cells, mesh.n_edges, mesh.n_edges])
+    free = np.flatnonzero(np.concatenate([np.ones(mesh.n_cells, dtype=bool),
+                                          ~mesh.edge_boundary, ~mesh.edge_boundary]))
+    order = free[np.argsort(rank[free], kind="stable")]
+    first = np.full(len(rank), -1, dtype=np.int32)
+    first[order] = np.cumsum(width[order]) - width[order]
+    within = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+    first = np.repeat(first, width)
+    pos = np.where(first < 0, first, first + within).astype(np.int32)
     return DofMap(pos=pos, constrained=constrained)
 
 
 def _dissection_ranks(mesh):
     """Nested-dissection ranks of the cells and the edges.
 
-    The cells are bisected ceil(log2(n_cells / 2)) times, each group at the
-    median of its centroids along the longer side of their bounding box,
-    into 2**levels leaves of one or two cells.  A cell ranks with its leaf,
-    an edge with the lowest common ancestor of its two cells' groups, in
-    post-order of the bisection tree: a node ranks by the last leaf below
-    it, then by its height, so every node follows the leaves below it.
+    Each group of more than two cells is split in two.  Its cells are
+    sorted by centroid along x and along y (equal coordinates by cell
+    index), and of the split positions s with |s - size//2| <= size//5 on
+    either axis, the one that cuts the fewest of the group's edges is
+    taken.  Ties go to the longer side of the centroids' bounding box (x if
+    the sides are equal), then to the s nearest size//2, then to the
+    smaller s.  Groups of one or two cells are leaves, so the depth varies.
+    A cell ranks with its leaf, an edge with the lowest common ancestor of
+    its two cells' groups, in post-order of the tree: a node holds a run of
+    the cell order and ranks by where the run ends, then by its length, so
+    every node follows the nodes below it.
     """
     n = mesh.n_cells
     cells = np.concatenate([s.cells for s in mesh.stacks])
     centroid = np.concatenate([s.centroid for s in mesh.stacks])[np.argsort(cells)]
-    levels = ((n + 1) // 2 - 1).bit_length()
-    order, size = np.arange(n), np.array([n])
-    for _ in range(levels):
-        group = np.repeat(np.arange(len(size)), size)
-        starts = np.cumsum(size) - size
-        c = centroid[order]
-        extent = np.maximum.reduceat(c, starts) - np.minimum.reduceat(c, starts)
-        along = np.where((extent[:, 0] >= extent[:, 1])[group], c[:, 0], c[:, 1])
-        order = order[np.lexsort((along, group))]
-        size = np.array([size // 2, size - size // 2]).T.ravel()
-    leaf = np.empty(n, dtype=np.intp)
-    leaf[order] = np.repeat(np.arange(len(size)), size)
+    # Cell c stands for itself along x and for c + n along y.  ``order``
+    # holds the cells by group, then by x in [0, n) and by y in [n, 2n);
+    # ``first`` marks where each group's run starts in either half, and
+    # ``where`` inverts ``order``.
+    coord = centroid.T.ravel()
+    order = np.argsort(centroid.T, axis=1, kind="stable").ravel() + np.repeat([0, n], n)
+    first = np.zeros(2 * n + 1, dtype=bool)
+    first[[0, n, 2 * n]] = True
+    where, step = np.empty(2 * n, dtype=np.intp), np.arange(2 * n)
+    # The interior edges, each end along x and along y.  An edge cut at one
+    # level is given its rank and then both ends of one cell, so it counts
+    # in no later cut.
+    inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
+    ea, eb = (np.concatenate([c, c + n]) for c in mesh.edge_cells[inner].T)
+    edge_rank = np.full(mesh.n_edges, -1, dtype=np.int64)   # -1 while uncut
+    never = np.iinfo(np.int64).max
+    while True:
+        bounds = first.nonzero()[0]
+        runs, run_size, groups = bounds[:-1], bounds[1:] - bounds[:-1], len(bounds) // 2
+        run_id = first[:-1].cumsum() - 1                     # of each position
+        start, size = runs[:groups], run_size[:groups]
+        node = (start + size) * (n + 1) + size               # post-order rank
+        if (largest := int(size.max())) <= 2:
+            break
+        c = coord[order[np.concatenate([runs, bounds[1:] - 1])]]
+        extent = c[2 * groups:] - c[:2 * groups]             # last less first of each run
+        # The split after position i, at offset d from the median, is
+        # crossed by cut[i] edges.  Along each axis, the least (cut, |d|,
+        # d > 0) within |d| <= size//5; between the axes, the fewer cut
+        # edges, then the longer side.
+        where[order] = step
+        pa, pb = where[ea], where[eb]
+        cut = (np.bincount(np.minimum(pa, pb), minlength=2 * n)
+               - np.bincount(np.maximum(pa, pb), minlength=2 * n)).cumsum()
+        d = step - (runs + run_size // 2 - 1)[run_id]
+        far = np.abs(d)
+        width = 2 * (largest // 5 + 1)                       # (|d|, d > 0) < width
+        key = cut * width + far * 2 + (d > 0)
+        key[far > (run_size // 5)[run_id]] = never
+        best = np.minimum.reduceat(key, runs)
+        at = (key == best[run_id]).nonzero()[0]              # the least of each run
+        fewest = best // width
+        fewest_x, fewest_y = fewest[:groups], fewest[groups:]
+        use_y = np.where(fewest_y == fewest_x, extent[groups:] > extent[:groups],
+                         fewest_y < fewest_x)
+        cut_at = np.where(use_y, at[groups:] - n, at[:groups]) + 1
+        cut_at = np.where(size > 2, cut_at, start)           # a leaf stays whole
 
-    a, b = mesh.edge_cells.T
-    a, b = leaf[a], leaf[np.where(b < 0, a, b)]
-    height = np.frexp((a ^ b).astype(float))[1]       # bit length: 0 when a == b
-    return leaf * (levels + 1), (a | ((1 << height) - 1)) * (levels + 1) + height
+        of = run_id[where[:n]]                               # group of each cell
+        right = np.where(use_y[of], where[n:] - n, where[:n]) >= cut_at[of]
+        side = np.concatenate([right, right])[order]
+        order = order[(2 * run_id + side).argsort(kind="stable")]   # a stable partition
+        first[np.concatenate([cut_at, cut_at + n])] = True
+
+        a = ea[:len(inner)]
+        cut = right[a] != right[eb[:len(inner)]]
+        edge_rank[inner[cut]] = node[of[a[cut]]]
+        cut = np.concatenate([cut, cut])
+        eb[cut] = ea[cut]
+
+    cell_rank = np.empty(n, dtype=np.int64)
+    cell_rank[order[:n]] = node[run_id[:n]]
+    uncut = edge_rank < 0
+    edge_rank[uncut] = cell_rank[mesh.edge_cells[uncut, 0]]
+    return cell_rank, edge_rank
 
 
 @dataclass

@@ -17,7 +17,8 @@ sigma = n_e . n, which is how the edge columns below get their signs.
 
 ``cell_tables`` and ``edge_tables`` alone build rules and the tables at
 their points, on the shapes of a CellStack (``CellStack.shapes``); per
-cell, ``on_cells`` evaluates a field and ``per_cell`` applies the tables.
+cell, ``on_cells`` evaluates a field, a slice of cells at a time, and
+``per_cell`` applies the tables.
 A StackOperator keeps its cell rule and table: ``StackOperator.moments``
 gives the load of ``system`` and Pi_j lap u of ``errors`` under them.
 """
@@ -75,11 +76,13 @@ def edge_tables(stack: CellStack, k: int, degree: int, rule_degree: int):
     return erule, chi, vals, gx
 
 
-def on_cells(f, stack: CellStack, rule):
+def on_cells(f, stack: CellStack, rule, cells=slice(None)):
     """``f`` at the points of a rule on the stack's shapes, moved onto each
-    cell by the offset of its first vertex from its shape's, (nc, q)."""
+    of the given ``cells`` (a slice of the stack's rows) by the offset of
+    its first vertex from its shape's, (nc, q)."""
     ref, of = stack.shapes
-    return at_points(f, stack.polygons[:, :1] - ref.polygons[of, :1] + rule.points[of])
+    of = of[cells]
+    return at_points(f, stack.polygons[cells, :1] - ref.polygons[of, :1] + rule.points[of])
 
 
 CHUNK = 1 << 18  # the most numbers in one gathered chunk of per-cell or per-row data
@@ -91,15 +94,21 @@ def _chunks(n, size):
     return [slice(a, a + step) for a in range(0, n, step)]
 
 
+def _shape_rows(of, s, n_shapes):
+    """The rows of per-shape arrays for the cells of slice ``s`` of a whole
+    shape index ``of``: ``s`` itself when every cell is its own shape (``of``
+    is then the identity), so nothing is gathered, else ``of[s]``."""
+    return s if len(of) == n_shapes else of[s]
+
+
 def per_cell(mats, of, vecs):
     """``mats[of[c]] @ vecs[c]`` for every cell c, (nc, m), from per-shape
-    matrices (S, m, n) and per-cell vectors (nc, n).  ``of`` is a whole shape
-    index, never a slice: the identity if as long as ``mats``, else gathered."""
-    if len(mats) == len(of):
-        return (mats @ vecs[..., None])[..., 0]
+    matrices (S, m, n) and per-cell vectors (nc, n), a chunk of cells at a
+    time.  ``of`` is a whole shape index, never a slice."""
     out = np.empty((len(of), mats.shape[1]))
     for s in _chunks(len(of), mats[0].size):
-        out[s] = (mats[of[s]] @ vecs[s, :, None])[..., 0]
+        rows = _shape_rows(of, s, len(mats))
+        out[s] = (mats[rows] @ vecs[s, :, None])[..., 0]
     return out
 
 
@@ -163,13 +172,12 @@ class StackOperator:
     def moments(self, f, m: int) -> np.ndarray:
         """(f, V_i)_T for the leading ``m`` Legendre products of every cell,
         (nc, m), under the operator's cell rule, a chunk of cells at a time."""
-        ref, of = self.stack.shapes
+        of = self.stack.shapes[1]
         mats, sqrt_w = self.table[..., :m].swapaxes(-1, -2), np.sqrt(self.rule.weights)
         out = np.empty((len(of), m))
         for s in _chunks(len(of), self.table[0].size):
-            g = at_points(f, self.stack.polygons[s, :1] - ref.polygons[of[s], :1]
-                          + self.rule.points[of[s]]) * sqrt_w[of[s]]
-            rows = s if len(mats) == len(of) else of[s]   # no gather if of is the identity
+            rows = _shape_rows(of, s, len(mats))
+            g = on_cells(f, self.stack, self.rule, s) * sqrt_w[rows]
             out[s] = (mats[rows] @ g[..., None])[..., 0]
         return out
 

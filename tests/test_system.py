@@ -14,10 +14,11 @@ import scipy.sparse.linalg as spla
 import sfwg
 from sfwg import weakop
 from sfwg.basis import dim_pk, from_legendre, legendre_values
-from sfwg.errors import ZERO, error_triple
+from sfwg.errors import ZERO, error_2h, error_l2, error_triple
 from sfwg.mesh import build_polygonal, build_triangular
 from sfwg.quadrature import quad_cell
 from sfwg.system import (
+    DofMap,
     LinearSystem,
     SolverError,
     assemble,
@@ -67,30 +68,26 @@ def test_cell_dofs_marks_boundary_constrained():
     assert np.allclose(vals, 0.0)
 
 
-def dissection_pos(mesh, k):
-    """The numbering of ``build_dof_map``, built by recursion over the
-    groups of the bisection and an explicit post-order count."""
-    levels = max(0, math.ceil(math.log2(mesh.n_cells / 2)))
+def _tree_pos(mesh, k, split):
+    """The free-DOF positions of a bisection tree: ``split(cells, depth)``
+    returns a group's two halves, or None for a leaf.  Built by recursion
+    over the groups and an explicit post-order count."""
     leaf_path, post, count = {}, {}, itertools.count()
 
     def visit(cells, path):
-        if len(path) < levels:
-            c = centroid[cells]
-            extent = c.max(axis=0) - c.min(axis=0)
-            cells = cells[np.argsort(c[:, 0 if extent[0] >= extent[1] else 1],
-                                     kind="stable")]
-            visit(cells[:len(cells) // 2], path + (0,))
-            visit(cells[len(cells) // 2:], path + (1,))
-        else:
+        halves = split(cells, len(path))
+        if halves is None:
             leaf_path.update(dict.fromkeys(cells.tolist(), path))
+        else:
+            visit(halves[0], path + (0,))
+            visit(halves[1], path + (1,))
         post[path] = next(count)
 
-    centroid, _ = cell_frames(mesh)
     visit(np.arange(mesh.n_cells), ())
 
     def lca(p, q):
         i = 0
-        while i < len(p) and p[i] == q[i]:
+        while i < len(p) and i < len(q) and p[i] == q[i]:
             i += 1
         return p[:i]
 
@@ -107,17 +104,93 @@ def dissection_pos(mesh, k):
     return pos
 
 
+def median_pos(mesh, k):
+    """The numbering of the median rule: ceil(log2(n_cells / 2)) levels of
+    bisection, each group at the median of its centroids along the longer
+    side of their bounding box (x if the sides are equal)."""
+    levels = max(0, math.ceil(math.log2(mesh.n_cells / 2)))
+    centroid, _ = cell_frames(mesh)
+
+    def split(cells, depth):
+        if depth == levels:
+            return None
+        c = centroid[cells]
+        extent = c.max(axis=0) - c.min(axis=0)
+        cells = cells[np.argsort(c[:, 0 if extent[0] >= extent[1] else 1], kind="stable")]
+        return cells[:len(cells) // 2], cells[len(cells) // 2:]
+
+    return _tree_pos(mesh, k, split)
+
+
+def dissection_pos(mesh, k):
+    """The numbering of ``build_dof_map``: each group of more than two cells
+    split at the position s, |s - size//2| <= size//5, along x or y, that
+    cuts the fewest of its edges; ties to the longer side, then the s
+    nearest size//2, then the smaller s.  Every cut is counted edge by edge."""
+    centroid, _ = cell_frames(mesh)
+    inner = mesh.edge_cells[mesh.edge_cells[:, 1] >= 0]
+
+    def split(cells, depth):
+        size, mid = len(cells), len(cells) // 2
+        if size <= 2:
+            return None
+        extent = np.ptp(centroid[cells], axis=0)
+        longer = 0 if extent[0] >= extent[1] else 1
+        best = None
+        for axis in (0, 1):
+            ordered = cells[np.lexsort((cells, centroid[cells, axis]))]
+            for s in range(mid - size // 5, mid + size // 5 + 1):
+                side = np.full(mesh.n_cells, -1)
+                side[ordered[:s]], side[ordered[s:]] = 0, 1
+                ends = side[inner]
+                cut = int(np.count_nonzero((ends >= 0).all(axis=1) & (ends[:, 0] != ends[:, 1])))
+                key = (cut, axis != longer, abs(s - mid), s)
+                if best is None or key < best[0]:
+                    best = key, (ordered[:s], ordered[s:])
+        return best[1]
+
+    return _tree_pos(mesh, k, split)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_triangles_keep_the_median_numbering(n, k):
+    # On a power-of-two triangulation the median cut is always among the
+    # fewest, so the numbering, A and the triangular studies stay as they were.
+    mesh = build_triangular(n)
+    assert np.array_equal(build_dof_map(mesh, k).pos, median_pos(mesh, k))
+
+
+def _natural_fill(mesh, k, pos):
+    """L.nnz + U.nnz of the stiffness numbered by ``pos``, factored as ``solve`` does."""
+    dm = build_dof_map(mesh, k)
+    dm = DofMap(pos=pos.astype(np.int32), constrained=dm.constrained)
+    A = assemble(mesh, k, k + 4, zero_f, dm, ops=element_operators(mesh, k, k + 4)).A
+    lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+                   permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_fewest_cut_numbering_fills_less_than_median_on_honeycomb():
+    mesh = build_polygonal(16)
+    assert (_natural_fill(mesh, 2, build_dof_map(mesh, 2).pos)
+            < _natural_fill(mesh, 2, median_pos(mesh, 2)))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("make_mesh", [lambda: build_triangular(1),
                                        lambda: build_triangular(3),
                                        lambda: build_triangular(8),
+                                       lambda: build_triangular(12),
                                        lambda: build_polygonal(8),
                                        lambda: perturbed(build_polygonal(4), seed=3)],
-                         ids=["tri1", "tri3", "tri8", "poly", "file"])
+                         ids=["tri1", "tri3", "tri8", "tri12", "poly", "file"])
 def test_free_dofs_numbered_once_in_dissection_order(make_mesh, k):
     mesh = make_mesh()
     dm = build_dof_map(mesh, k)
     free = dm.pos >= 0
+    assert dm.pos.dtype == np.int32            # A's index type, as A's column indices
     assert np.array_equal(np.sort(dm.pos[free]), np.arange(dm.n_free))
     assert np.array_equal(build_dof_map(make_mesh(), k).pos, dm.pos)
     assert np.array_equal(dm.pos, dissection_pos(mesh, k))
@@ -138,17 +211,18 @@ def test_free_dofs_numbered_once_in_dissection_order(make_mesh, k):
 
 def test_numbering_cuts_fill():
     # Factored as numbered, the stiffness fills less than under a
-    # minimum-degree order of the same matrix.
-    mesh = build_triangular(32)
-    dm = build_dof_map(mesh, 2)
-    system = assemble(mesh, 2, 4, zero_f, dm, ops=element_operators(mesh, 2, 4))
-    a = system.A.tocsc()
-    fill = {}
-    for spec in ("NATURAL", "MMD_AT_PLUS_A"):
-        lu = spla.splu(a, permc_spec=spec, diag_pivot_thresh=0.0,
-                       options=dict(SymmetricMode=True))
-        fill[spec] = lu.L.nnz + lu.U.nnz
-    assert fill["NATURAL"] < fill["MMD_AT_PLUS_A"]
+    # minimum-degree order of the same matrix, on triangles and on the
+    # honeycomb.
+    for mesh, k, j in [(build_triangular(32), 2, 4), (build_polygonal(32), 2, 6)]:
+        dm = build_dof_map(mesh, k)
+        system = assemble(mesh, k, j, zero_f, dm, ops=element_operators(mesh, k, j))
+        a = system.A.tocsc()
+        fill = {}
+        for spec in ("NATURAL", "MMD_AT_PLUS_A"):
+            lu = spla.splu(a, permc_spec=spec, diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+            fill[spec] = lu.L.nnz + lu.U.nnz
+        assert fill["NATURAL"] < fill["MMD_AT_PLUS_A"], (mesh.n_cells, fill)
 
 
 def test_zero_load_gives_zero_solution():
@@ -546,6 +620,38 @@ def test_assembly_and_backward_error_memory_is_bounded():
     assert peak <= 2 * result, f"assemble: peak {peak / result:.2f} x the result"
     _, peak = _traced_peak(lambda: backward_error(system, np.ones(A.shape[0])))
     assert peak <= 0.25 * result, f"backward_error: peak {peak / result:.2f} x the system"
+
+
+def test_error_functionals_memory_is_bounded(monkeypatch):
+    # error_2h and error_l2 evaluate u and gather the per-shape tables a
+    # chunk of cells at a time: with chunks of 2^14 numbers, neither holds
+    # half the bytes of the weak function it measures.
+    mesh, k = build_triangular(64), 2
+    x = np.random.default_rng(29).standard_normal(len(build_dof_map(mesh, k).pos))
+    u_h, ex = WeakFunction.from_flat(k, mesh.n_cells, x), builtin_solution(1)
+    monkeypatch.setattr(weakop, "CHUNK", 1 << 14)
+    for name, call in [("error_2h", lambda: error_2h(ex, u_h, mesh, k)),
+                       ("error_l2", lambda: error_l2(ex, u_h, mesh))]:
+        _, peak = _traced_peak(call)
+        assert peak <= 0.5 * x.nbytes, f"{name}: peak {peak / x.nbytes:.2f} x the weak function"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", REFERENCE_MESHES)
+def test_error_functionals_in_chunks_match_one_chunk(name, k, monkeypatch):
+    make, _ = REFERENCE_MESHES[name]
+    mesh, ex = make(), builtin_solution(1)
+    x = np.random.default_rng(31).standard_normal(len(build_dof_map(mesh, k).pos))
+    u_h = WeakFunction.from_flat(k, mesh.n_cells, x)
+
+    def results():
+        return error_2h(ex, u_h, mesh, k), error_l2(ex, u_h, mesh)
+
+    monkeypatch.setattr(weakop, "CHUNK", 1 << 62)
+    want = results()
+    # A few cells per chunk, as on a mesh far larger than these.
+    monkeypatch.setattr(weakop, "CHUNK", 3 * 6 * dim_pk(k) ** 2)
+    assert results() == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("k", [2, 3])
