@@ -9,10 +9,11 @@ Three functionals are reported per run:
   which the traces of the smooth field cancel;
 * the plain L2 error of the cell-interior part.
 
-The first reads Pi_j lap u from the operators (``op.moments``); the others
-build rules and tables per shape, and evaluate u (``on_cells``) and apply
-the tables a bounded chunk of cells at a time (``weakop._chunks``), so no
-gather grows with the mesh.  The edge terms of the second are
+The first reads Pi_j lap u from the operators (``op.moments``) and gathers
+u_h's local DOFs (``WeakFunction.local``); the others build rules and
+tables per shape and evaluate u (``on_cells``).  Each applies its tables a
+bounded chunk of cells at a time (``weakop._chunks``), so no gather grows
+with the mesh.  The edge terms of the second are
 coefficient norms in the orthonormal edge basis, the projections of u_h0
 onto it formed by one per-shape matrix each.
 """
@@ -28,12 +29,10 @@ from .weakop import (
     WeakFunction,
     _chunks,
     _shape_rows,
-    apply_weak_laplacian,
     cell_rule_degree,
     cell_tables,
     edge_rule_degree,
     edge_tables,
-    local_dofs,
     on_cells,
 )
 
@@ -90,19 +89,24 @@ def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops):
     """Energy-norm error via the projected-Laplacian identity.
 
     ``ops`` is the list that ``element_operators`` builds for ``mesh``, k
-    and j; each operator's own P_j degree ``op.j`` is used, and ``j`` is
-    not read.  Pi_j lap u is taken in the operator's orthonormal basis, so
-    its coefficients are the moments of lap u, formed against the Legendre
-    products and mapped by R^-T.
+    and j; the operators carry the cells and each its own P_j degree
+    ``op.j``, so ``mesh``, ``k`` and ``j`` are not read.  Pi_j lap u is
+    taken in the operator's orthonormal basis, so its coefficients are the
+    moments of lap u, formed against the Legendre products and mapped by
+    R^-T.  Both it and Lw u_h are formed a chunk of cells at a time.
     """
-    flat = u_h.flat()
     total = 0.0
     for op in ops:
-        proj = op.moments(exact.laplacian, dim_pk(op.j))
-        for s in _chunks(len(proj), op.r[0].size):
-            proj[s] = from_legendre(op.r[op.stack.shapes[1][s]], proj[s, :, None])[..., 0]
-        diff = proj - apply_weak_laplacian(op, flat[local_dofs(mesh, op.stack, k)])
-        total += float(np.sum(diff * diff))
+        of = op.stack.shapes[1]
+        per = np.empty(len(of))
+        # op.moments bounds its own gather of the table, so it is not counted here.
+        for s in _chunks(len(of), op.r[0].size + op.matrix[0].size):
+            rows = _shape_rows(of, s, len(op.r))
+            moments = op.moments(exact.laplacian, dim_pk(op.j), s)
+            proj = from_legendre(op.r[rows], moments[..., None])[..., 0]
+            diff = proj - (op.matrix[rows] @ u_h.local(op.stack, s)[..., None])[..., 0]
+            per[s] = np.sum(diff * diff, axis=1)
+        total += float(np.sum(per))
     return math.sqrt(total)
 
 

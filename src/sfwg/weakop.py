@@ -126,6 +126,15 @@ class WeakFunction:
         ``local_dofs`` indexes."""
         return np.concatenate([self.v0.ravel(), self.vb.ravel(), self.vn.ravel()])
 
+    def local(self, stack: CellStack, cells=slice(None)) -> np.ndarray:
+        """The local DOF vectors of the given ``cells`` (a slice of the
+        stack's rows, all by default), (nc, nloc): what ``flat`` holds at
+        ``local_dofs``, gathered without forming ``flat``."""
+        edges = stack.edges[cells]
+        vbn = np.concatenate([self.vb[edges], self.vn[edges]], axis=-1)
+        vbn = vbn.reshape(len(edges), edges.shape[1] * 2 * self.k)
+        return np.concatenate([self.v0[stack.cells[cells]], vbn], axis=1)
+
     @classmethod
     def from_flat(cls, k: int, n_cells: int, x: np.ndarray) -> "WeakFunction":
         """The weak function whose ``flat`` vector is ``x``, as views of it."""
@@ -169,15 +178,18 @@ class StackOperator:
     rule: QuadratureRule
     table: np.ndarray
 
-    def moments(self, f, m: int) -> np.ndarray:
-        """(f, V_i)_T for the leading ``m`` Legendre products of every cell,
-        (nc, m), under the operator's cell rule, a chunk of cells at a time."""
+    def moments(self, f, m: int, cells=slice(None)) -> np.ndarray:
+        """(f, V_i)_T for the leading ``m`` Legendre products of the given
+        ``cells`` (a slice of the stack's rows, all by default), (nc, m),
+        under the operator's cell rule, a chunk of cells at a time."""
         of = self.stack.shapes[1]
         mats, sqrt_w = self.table[..., :m].swapaxes(-1, -2), np.sqrt(self.rule.weights)
-        out = np.empty((len(of), m))
-        for s in _chunks(len(of), self.table[0].size):
-            rows = _shape_rows(of, s, len(mats))
-            g = on_cells(f, self.stack, self.rule, s) * sqrt_w[rows]
+        span = range(len(of))[cells]
+        out = np.empty((len(span), m))
+        for s in _chunks(len(span), self.table[0].size):
+            c = slice(span[s].start, span[s].stop)
+            rows = _shape_rows(of, c, len(mats))
+            g = on_cells(f, self.stack, self.rule, c) * sqrt_w[rows]
             out[s] = (mats[rows] @ g[..., None])[..., 0]
         return out
 

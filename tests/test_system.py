@@ -18,6 +18,7 @@ from sfwg.errors import ZERO, error_2h, error_l2, error_triple
 from sfwg.mesh import build_polygonal, build_triangular
 from sfwg.quadrature import quad_cell
 from sfwg.system import (
+    PANEL_SIZE,
     DofMap,
     LinearSystem,
     SolverError,
@@ -168,7 +169,7 @@ def _natural_fill(mesh, k, pos):
     A = assemble(mesh, k, k + 4, zero_f, dm, ops=element_operators(mesh, k, k + 4)).A
     lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
                    permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True))
+                   panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
     return lu.L.nnz + lu.U.nnz
 
 
@@ -220,7 +221,7 @@ def test_numbering_cuts_fill():
         fill = {}
         for spec in ("NATURAL", "MMD_AT_PLUS_A"):
             lu = spla.splu(a, permc_spec=spec, diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
+                           panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
             fill[spec] = lu.L.nnz + lu.U.nnz
         assert fill["NATURAL"] < fill["MMD_AT_PLUS_A"], (mesh.n_cells, fill)
 
@@ -250,6 +251,51 @@ def test_solve_does_not_load_scipy_special():
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr or "scipy.special was imported"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the resident size from /proc")
+def test_solve_grows_the_process_by_little_more_than_its_factors():
+    # SuperLU's panel workspace, m x panel x 16 bytes, lives beside the
+    # finished factors until splu returns.  With PANEL_SIZE columns the
+    # process grows over the solve by at most 1.15 x the factors at 12 bytes
+    # an entry; scipy's default panel of 20 grows it by 1.3 x and more.  A
+    # fresh interpreter, warmed by a tiny solve, so that the peak since the
+    # resident size is read is the solve's own.  The peak is VmHWM, its own
+    # address space's: ru_maxrss would keep the peak of the process that
+    # started it.
+    code = (
+        "import os\n"
+        "import numpy as np\n"
+        "import scipy.sparse as sp\n"
+        "import scipy.sparse.linalg as spla\n"
+        "import sfwg\n"
+        "from sfwg.system import PANEL_SIZE, assemble, build_dof_map, solve\n"
+        "def f(p):\n"
+        "    return np.ones(len(p))\n"
+        "warm = sfwg.build_triangular(2)\n"
+        "sfwg.solve_biharmonic(warm, 2, 4, f, ops=sfwg.element_operators(warm, 2, 4))\n"
+        "mesh = sfwg.build_triangular(32)\n"
+        "dm = build_dof_map(mesh, 2)\n"
+        "system = assemble(mesh, 2, 4, f, dm, ops=sfwg.element_operators(mesh, 2, 4))\n"
+        "with open('/proc/self/statm') as statm:\n"
+        "    before = int(statm.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "solve(system)\n"
+        "with open('/proc/self/status') as status:\n"
+        "    hwm = next(line for line in status if line.startswith('VmHWM:'))\n"
+        "grown = int(hwm.split()[1]) * 1024 - before\n"
+        "A = system.A\n"
+        "lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),\n"
+        "               permc_spec='NATURAL', diag_pivot_thresh=0.0,\n"
+        "               panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))\n"
+        "print(grown / (12 * (lu.L.nnz + lu.U.nnz)))\n"
+    )
+    src = str(Path(sfwg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    ratio = float(run.stdout)
+    assert ratio <= 1.15, f"the solve grew the process by {ratio:.3f} x its factors"
 
 
 def test_load_uses_each_operators_own_j():
@@ -513,7 +559,7 @@ def reference_backward_error(system, x):
 def reference_solve(system, tol=1e-12):
     a = system.A.tocsc(copy=True)
     lu = spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True))
+                   panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
     x = np.zeros(a.shape[0])
     for _ in range(11):
         x = x + lu.solve(system.b - a @ x)
@@ -567,7 +613,7 @@ def test_assemble_matches_int64_triplet_reference(name, k, monkeypatch):
             assert _same_bits(a, ref)
 
 
-@pytest.mark.parametrize("gather", ["stiffness", "moments", "projection"])
+@pytest.mark.parametrize("gather", ["stiffness", "moments", "projection", "triple"])
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", REFERENCE_MESHES)
 def test_gathers_in_chunks_of_shape_count_match_one_chunk(name, k, gather, monkeypatch):
@@ -590,7 +636,8 @@ def test_gathers_in_chunks_of_shape_count_match_one_chunk(name, k, gather, monke
     want, want_triple = results()
     for op in ops:
         per_cell_size = {"stiffness": op.matrix.shape[-1] ** 2, "moments": op.table[0].size,
-                         "projection": op.r[0].size}[gather]
+                         "projection": op.r[0].size,
+                         "triple": op.r[0].size + op.matrix[0].size}[gather]
         monkeypatch.setattr(weakop, "CHUNK", len(op.r) * per_cell_size)
         got, got_triple = results()
         assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
@@ -623,14 +670,16 @@ def test_assembly_and_backward_error_memory_is_bounded():
 
 
 def test_error_functionals_memory_is_bounded(monkeypatch):
-    # error_2h and error_l2 evaluate u and gather the per-shape tables a
-    # chunk of cells at a time: with chunks of 2^14 numbers, neither holds
-    # half the bytes of the weak function it measures.
+    # The error functionals evaluate u, gather u_h's DOFs and apply the
+    # per-shape tables a chunk of cells at a time: with chunks of 2^14
+    # numbers, none holds half the bytes of the weak function it measures.
     mesh, k = build_triangular(64), 2
     x = np.random.default_rng(29).standard_normal(len(build_dof_map(mesh, k).pos))
     u_h, ex = WeakFunction.from_flat(k, mesh.n_cells, x), builtin_solution(1)
+    ops = element_operators(mesh, k, k + 2)
     monkeypatch.setattr(weakop, "CHUNK", 1 << 14)
-    for name, call in [("error_2h", lambda: error_2h(ex, u_h, mesh, k)),
+    for name, call in [("error_triple", lambda: error_triple(ex, u_h, mesh, k, k + 2, ops=ops)),
+                       ("error_2h", lambda: error_2h(ex, u_h, mesh, k)),
                        ("error_l2", lambda: error_l2(ex, u_h, mesh))]:
         _, peak = _traced_peak(call)
         assert peak <= 0.5 * x.nbytes, f"{name}: peak {peak / x.nbytes:.2f} x the weak function"
@@ -639,13 +688,15 @@ def test_error_functionals_memory_is_bounded(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", REFERENCE_MESHES)
 def test_error_functionals_in_chunks_match_one_chunk(name, k, monkeypatch):
-    make, _ = REFERENCE_MESHES[name]
+    make, extra = REFERENCE_MESHES[name]
     mesh, ex = make(), builtin_solution(1)
     x = np.random.default_rng(31).standard_normal(len(build_dof_map(mesh, k).pos))
     u_h = WeakFunction.from_flat(k, mesh.n_cells, x)
+    ops = element_operators(mesh, k, k + extra)
 
     def results():
-        return error_2h(ex, u_h, mesh, k), error_l2(ex, u_h, mesh)
+        return (error_triple(ex, u_h, mesh, k, k + extra, ops=ops),
+                error_2h(ex, u_h, mesh, k), error_l2(ex, u_h, mesh))
 
     monkeypatch.setattr(weakop, "CHUNK", 1 << 62)
     want = results()

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sfwg import weakop
 from sfwg.basis import (
     dim_pk,
     edge_values,
@@ -315,3 +316,29 @@ def test_moments_match_a_finer_rule(make, extra, k):
                                        op.stack.diameter[c], j)[:, :m]
                 want = vals.T @ (rule.weights * f(rule.points))
                 assert np.abs(got[c] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("make,extra", [(lambda: build_triangular(4), 2),
+                                        (lambda: perturbed(build_polygonal(4), seed=3), 4)],
+                         ids=["tri", "perturbed"])
+def test_slices_of_a_stack_match_the_whole_stack(make, extra, k, monkeypatch):
+    # WeakFunction.local and StackOperator.moments on a slice of a stack's
+    # cells give that slice of the whole stack's result, bit for bit, also
+    # when the slice is taken in chunks of two cells.
+    mesh = make()
+    size = mesh.n_cells * dim_pk(k) + 2 * mesh.n_edges * k
+    v = WeakFunction.from_flat(k, mesh.n_cells, np.random.default_rng(k).standard_normal(size))
+
+    def f(p):
+        return np.sin(3.0 * p[:, 0]) * np.exp(p[:, 1])
+
+    for op in element_operators(mesh, k, k + extra):
+        m, nc = dim_pk(op.j), len(op.stack.cells)
+        whole_local, whole_moments = v.local(op.stack), op.moments(f, m)
+        assert np.array_equal(whole_local, local(v, mesh, op))
+        monkeypatch.setattr(weakop, "CHUNK", 2 * op.table[0].size)
+        for s in [slice(0, 1), slice(1, nc - 1), slice(nc - 3, None), slice(2, 2)]:
+            assert np.array_equal(v.local(op.stack, s), whole_local[s])
+            assert np.array_equal(op.moments(f, m, s), whole_moments[s])
+        monkeypatch.undo()
