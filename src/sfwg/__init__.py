@@ -14,7 +14,7 @@ from .mesh import Mesh, build_polygonal, build_triangular, dump_mesh, load_mesh,
 from .solutions import builtin_solution
 from .study import StudyConfig, run_study, write_report
 from .system import build_dof_map, assemble, solve, solve_biharmonic
-from .weakop import WeakFunction, apply_weak_laplacian, element_operators
+from .weakop import WeakFunction, element_operators
 
 __all__ = [
     "ConvergenceReport",
@@ -22,7 +22,6 @@ __all__ = [
     "Mesh",
     "StudyConfig",
     "WeakFunction",
-    "apply_weak_laplacian",
     "assemble",
     "build_dof_map",
     "build_polygonal",

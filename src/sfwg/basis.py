@@ -18,7 +18,9 @@ from numpy.polynomial.legendre import legvander
 
 
 class SingularCellError(RuntimeError):
-    """Raised when a cell mass matrix cannot be factorized."""
+    """Raised when a shape's quadrature-weighted P_j table is numerically
+    rank deficient (``orthonormal_factor``), so the cell has no orthonormal
+    P_j basis under its rule."""
 
 
 def dim_pk(m: int) -> int:

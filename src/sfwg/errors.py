@@ -9,13 +9,13 @@ Three functionals are reported per run:
   which the traces of the smooth field cancel;
 * the plain L2 error of the cell-interior part.
 
-The first reads Pi_j lap u from the operators (``op.moments``) and gathers
-u_h's local DOFs (``WeakFunction.local``); the others build rules and
-tables per shape and evaluate u (``on_cells``).  Each applies its tables a
-bounded chunk of cells at a time (``weakop._chunks``), so no gather grows
-with the mesh.  The edge terms of the second are
-coefficient norms in the orthonormal edge basis, the projections of u_h0
-onto it formed by one per-shape matrix each.
+The first reads Pi_j lap u and Lw u_h from the operators (``op.moments``
+and ``op.apply``); the others build rules and tables per shape and
+evaluate u (``on_cells``).  Each applies its tables a bounded chunk of
+cells at a time (``weakop._chunks``), so no gather grows with the mesh.
+The edge terms of the second are coefficient norms in the orthonormal
+edge basis, the projections of u_h0 onto it formed by one per-shape
+matrix each.
 """
 
 import math
@@ -93,18 +93,19 @@ def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops):
     ``op.j``, so ``mesh``, ``k`` and ``j`` are not read.  Pi_j lap u is
     taken in the operator's orthonormal basis, so its coefficients are the
     moments of lap u, formed against the Legendre products and mapped by
-    R^-T.  Both it and Lw u_h are formed a chunk of cells at a time.
+    R^-T.  Both it and Lw u_h (``op.apply``) are formed a chunk of cells at
+    a time.
     """
     total = 0.0
     for op in ops:
         of = op.stack.shapes[1]
         per = np.empty(len(of))
-        # op.moments bounds its own gather of the table, so it is not counted here.
-        for s in _chunks(len(of), op.r[0].size + op.matrix[0].size):
+        # op.moments and op.apply bound their own gathers, so only R's is counted here.
+        for s in _chunks(len(of), op.r[0].size):
             rows = _shape_rows(of, s, len(op.r))
             moments = op.moments(exact.laplacian, dim_pk(op.j), s)
             proj = from_legendre(op.r[rows], moments[..., None])[..., 0]
-            diff = proj - (op.matrix[rows] @ u_h.local(op.stack, s)[..., None])[..., 0]
+            diff = proj - op.apply(u_h, s)
             per[s] = np.sum(diff * diff, axis=1)
         total += float(np.sum(per))
     return math.sqrt(total)

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import dim_pk
-from .weakop import WeakFunction, _chunks, local_dofs, project_edge_data
+from .weakop import WeakFunction, _chunks, project_edge_data
 
 
 # SuperLU's panel width.  Its dense panel workspace, about m x PANEL_SIZE x
@@ -197,9 +197,8 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
     more than two terms, in either order: A is bit-reproducible.
     """
     n, dk = dofmap.n_free, dim_pk(k)
-    constrained = dofmap.constrained.flat()
-    locs = [local_dofs(mesh, op.stack, k) for op in ops]
-    idxs = [dofmap.pos[loc] for loc in locs]           # (nc, nloc), -1 if constrained
+    positions = WeakFunction.from_flat(k, mesh.n_cells, dofmap.pos)
+    idxs = [positions.local(op.stack) for op in ops]   # (nc, nloc), -1 if constrained
     width = np.zeros(mesh.n_cells, dtype=np.intp)      # free DOFs of each cell
     for op, idx in zip(ops, idxs):
         width[op.stack.cells] = np.count_nonzero(idx >= 0, axis=1)
@@ -212,7 +211,7 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
     np.cumsum(indptr, out=indptr)  # A's index type now: a cast at the end would pin the heap
     indptr = indptr.astype(np.int32 if indptr[-1] < 2**31 else np.int64)
     cols, vals, b = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1]), np.zeros(n)
-    for op, loc, idx in zip(ops, locs, idxs):
+    for op, idx in zip(ops, idxs):
         stack, of = op.stack, op.stack.shapes[1]
         free = idx >= 0
         lo, hi = mesh.edge_cells[stack.edges].transpose(2, 0, 1)
@@ -230,7 +229,8 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
             cols[at] = np.broadcast_to(idx[s, None, :], ke.shape)[pair]
             vals[at] = ke[pair]
             boundary = ~free[s].all(axis=1)
-            rhs[s][boundary] = -(ke[boundary] @ constrained[loc[s][boundary]][..., None])[..., 0]
+            g = dofmap.constrained.local(stack, s)[boundary]
+            rhs[s][boundary] = -(ke[boundary] @ g[..., None])[..., 0]
         rhs[:, :dk] += op.moments(f, dk)
         # No sum of b depends on the order in which the stacks add to it.
         b += np.bincount(idx[free], weights=rhs[free], minlength=n)

@@ -17,10 +17,12 @@ sigma = n_e . n, which is how the edge columns below get their signs.
 
 ``cell_tables`` and ``edge_tables`` alone build rules and the tables at
 their points, on the shapes of a CellStack (``CellStack.shapes``); per
-cell, ``on_cells`` evaluates a field, a slice of cells at a time, and
-``per_cell`` applies the tables.
+cell, ``on_cells`` evaluates a field, a slice of cells at a time.
 A StackOperator keeps its cell rule and table: ``StackOperator.moments``
-gives the load of ``system`` and Pi_j lap u of ``errors`` under them.
+gives the load of ``system`` and Pi_j lap u of ``errors`` under them, and
+``StackOperator.apply`` gives Lw v on a slice of the stack's cells, from
+the local DOF vectors of ``WeakFunction.local``, the one statement of the
+local layout.
 """
 
 from dataclasses import dataclass
@@ -94,22 +96,18 @@ def _chunks(n, size):
     return [slice(a, a + step) for a in range(0, n, step)]
 
 
+def _cell_chunks(n, cells, size):
+    """The chunks of ``_chunks`` over the rows ``cells`` (a slice) of
+    range(n), each as a pair: its slice of those rows, and of range(n)."""
+    span = range(n)[cells]
+    return [(s, slice(span[s].start, span[s].stop)) for s in _chunks(len(span), size)]
+
+
 def _shape_rows(of, s, n_shapes):
     """The rows of per-shape arrays for the cells of slice ``s`` of a whole
     shape index ``of``: ``s`` itself when every cell is its own shape (``of``
     is then the identity), so nothing is gathered, else ``of[s]``."""
     return s if len(of) == n_shapes else of[s]
-
-
-def per_cell(mats, of, vecs):
-    """``mats[of[c]] @ vecs[c]`` for every cell c, (nc, m), from per-shape
-    matrices (S, m, n) and per-cell vectors (nc, n), a chunk of cells at a
-    time.  ``of`` is a whole shape index, never a slice."""
-    out = np.empty((len(of), mats.shape[1]))
-    for s in _chunks(len(of), mats[0].size):
-        rows = _shape_rows(of, s, len(mats))
-        out[s] = (mats[rows] @ vecs[s, :, None])[..., 0]
-    return out
 
 
 @dataclass
@@ -122,14 +120,17 @@ class WeakFunction:
     vn: np.ndarray  # (n_edges, k), flux relative to n_e
 
     def flat(self) -> np.ndarray:
-        """All coefficients as one vector [v0 | v_b | v_n], which
-        ``local_dofs`` indexes."""
+        """All coefficients as one vector [v0 | v_b | v_n]: the layout of
+        ``DofMap.pos`` and of ``from_flat``."""
         return np.concatenate([self.v0.ravel(), self.vb.ravel(), self.vn.ravel()])
 
     def local(self, stack: CellStack, cells=slice(None)) -> np.ndarray:
         """The local DOF vectors of the given ``cells`` (a slice of the
-        stack's rows, all by default), (nc, nloc): what ``flat`` holds at
-        ``local_dofs``, gathered without forming ``flat``."""
+        stack's rows, all by default), (nc, nloc): per cell its v0 block,
+        then per local edge the (v_b, v_n) blocks, the column order of
+        ``StackOperator.matrix``.  This is the one statement of the local
+        layout: on ``from_flat(k, n_cells, dofmap.pos)`` it gathers the cells'
+        int32 free positions as well."""
         edges = stack.edges[cells]
         vbn = np.concatenate([self.vb[edges], self.vn[edges]], axis=-1)
         vbn = vbn.reshape(len(edges), edges.shape[1] * 2 * self.k)
@@ -144,31 +145,18 @@ class WeakFunction:
                    vn=vn.reshape(-1, k))
 
 
-def local_dofs(mesh, stack: CellStack, k: int) -> np.ndarray:
-    """Index of every local DOF of a stack's cells into ``WeakFunction.flat``.
-
-    Returns (nc, nloc): per cell its v0 block, then per local edge the
-    (v_b, v_n) blocks, the column order of ``StackOperator.matrix``.
-    """
-    dk = dim_pk(k)
-    nc = len(stack.cells)
-    v0 = stack.cells[:, None] * dk + np.arange(dk)
-    vb = mesh.n_cells * dk + stack.edges[..., None] * k + np.arange(k)
-    vn = vb + mesh.n_edges * k
-    return np.concatenate([v0, np.concatenate([vb, vn], axis=-1).reshape(nc, -1)], axis=1)
-
-
 @dataclass
 class StackOperator:
     """Matrix form of the weak Laplacian on one CellStack, per shape: cell
     c has row ``stack.shapes[1][c]``.
 
     ``matrix`` (S, dim P_j, nloc) maps a cell's local DOF vector (in the
-    order of ``local_dofs``) to P_j(T) coefficients in psi = V R^-1, the
-    basis orthonormal under the cell rule ``rule``: ``table`` (S, q, dim P_j)
-    is sqrt(w) V at its points, V the Legendre products of degree ``j``, and
-    ``r`` (S, dim P_j, dim P_j) its QR factor from ``orthonormal_factor``.
-    The local stiffness block is matrix^T matrix.
+    order of ``WeakFunction.local``) to P_j(T) coefficients in psi = V R^-1,
+    the basis orthonormal under the cell rule ``rule``: ``table`` (S, q,
+    dim P_j) is sqrt(w) V at its points, V the Legendre products of degree
+    ``j``, and ``r`` (S, dim P_j, dim P_j) its QR factor from
+    ``orthonormal_factor``.  ``apply`` applies it; the local stiffness
+    block is matrix^T matrix.
     """
 
     stack: CellStack
@@ -184,13 +172,25 @@ class StackOperator:
         under the operator's cell rule, a chunk of cells at a time."""
         of = self.stack.shapes[1]
         mats, sqrt_w = self.table[..., :m].swapaxes(-1, -2), np.sqrt(self.rule.weights)
-        span = range(len(of))[cells]
-        out = np.empty((len(span), m))
-        for s in _chunks(len(span), self.table[0].size):
-            c = slice(span[s].start, span[s].stop)
+        out = np.empty((len(self.stack.cells[cells]), m))
+        for s, c in _cell_chunks(len(of), cells, self.table[0].size):
             rows = _shape_rows(of, c, len(mats))
             g = on_cells(f, self.stack, self.rule, c) * sqrt_w[rows]
             out[s] = (mats[rows] @ g[..., None])[..., 0]
+        return out
+
+    def apply(self, v: WeakFunction, cells=slice(None)) -> np.ndarray:
+        """Lw v in the basis psi on the given ``cells`` (a slice of the
+        stack's rows, all by default), (nc, dim P_j), from the local DOF
+        vectors of ``v`` (``WeakFunction.local``), a chunk of cells at a time."""
+        of, nloc = self.stack.shapes[1], self.matrix.shape[-1]
+        width = v.local(self.stack, slice(0)).shape[1]
+        if width != nloc:
+            raise ValueError(f"expected {nloc} local DOFs per cell, got {width}")
+        out = np.empty((len(self.stack.cells[cells]), self.matrix.shape[1]))
+        for s, c in _cell_chunks(len(of), cells, self.matrix[0].size):
+            rows = _shape_rows(of, c, len(self.matrix))
+            out[s] = (self.matrix[rows] @ v.local(self.stack, c)[..., None])[..., 0]
         return out
 
 
@@ -247,16 +247,6 @@ def _stack_operator(stack, k, j):
     matrix[..., :dk] += (r[..., :dk] @ legendre_laplacian(k)
                          / (0.25 * shapes.diameter**2)[:, None, None])
     return StackOperator(stack, matrix, j, r, rule, vals)
-
-
-def apply_weak_laplacian(op: StackOperator, dofs) -> np.ndarray:
-    """P_j coefficients (nc, dim P_j) of the local DOF vectors ``dofs``
-    (nc, nloc) of the operator's cells."""
-    dofs = np.asarray(dofs, dtype=float)
-    nc, nloc = len(op.stack.cells), op.matrix.shape[-1]
-    if dofs.shape != (nc, nloc):
-        raise ValueError(f"expected {nc} x {nloc} local DOFs, got {dofs.shape}")
-    return per_cell(op.matrix, op.stack.shapes[1], dofs)
 
 
 def project_edge_data(mesh, edges, k: int, u=None, grad=None):

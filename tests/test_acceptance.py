@@ -23,14 +23,9 @@ from sfwg.mesh import build_polygonal, build_triangular
 from sfwg.quadrature import quad_cell
 from sfwg.study import StudyConfig, run_study
 from sfwg.system import assemble, build_dof_map, solve_biharmonic, weak_function_from_free
-from sfwg.weakop import (
-    apply_weak_laplacian,
-    cell_rule_degree,
-    element_operators,
-    local_dofs,
-)
+from sfwg.weakop import cell_rule_degree, element_operators
 from test_mesh import cell_frames
-from test_weakop import interpolate_qh
+from test_weakop import interpolate_qh, local_dofs, per_cell
 
 
 def _report(ok: bool, label: str):
@@ -167,7 +162,8 @@ def test_criterion_5_operator_exactness():
                 cell_errs = []
                 den2 = 0.0
                 for op in ops:
-                    lifted = apply_weak_laplacian(op, v.flat()[local_dofs(mesh, op.stack, k)])
+                    lifted = per_cell(op.matrix, op.stack.shapes[1],
+                                      v.flat()[local_dofs(mesh, op.stack, k)])
                     for c, cell in enumerate(op.stack.cells):
                         # Pi_j lap u by weighted least squares on the cell's
                         # own rule in the Legendre products V, mapped by the

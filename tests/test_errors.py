@@ -24,10 +24,9 @@ from sfwg.weakop import (
     edge_tables,
     element_operators,
     on_cells,
-    per_cell,
 )
 from test_system import REFERENCE_MESHES
-from test_weakop import interpolate_qh
+from test_weakop import interpolate_qh, per_cell
 
 
 def zero_weak(mesh, k):

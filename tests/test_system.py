@@ -32,17 +32,14 @@ from sfwg.system import (
 from sfwg.solutions import builtin_solution
 from sfwg.weakop import (
     WeakFunction,
-    apply_weak_laplacian,
     cell_rule_degree,
     cell_tables,
     element_operators,
-    local_dofs,
     on_cells,
-    per_cell,
 )
 
 from test_mesh import cell_frames, perturbed
-from test_weakop import interpolate_qh
+from test_weakop import interpolate_qh, local_dofs, per_cell
 
 
 def zero_f(p):
@@ -338,7 +335,7 @@ def test_load_and_error_triple_read_the_operators_rule(builder, extra, k):
                   per_cell(wvt[:, :dim_pk(k)], of, on_cells(ex.source, op.stack, rule)))
         moments = per_cell(wvt, of, on_cells(ex.laplacian, op.stack, rule))
         diff = (from_legendre(op.r[of], moments[..., None])[..., 0]
-                - apply_weak_laplacian(op, u_h.flat()[loc]))
+                - per_cell(op.matrix, of, u_h.flat()[loc]))
         total += float(np.sum(diff * diff))
     assert np.abs(system.b - want_b).max() <= 1e-13 * np.abs(want_b).max()
     assert error_triple(ex, u_h, mesh, k, j, ops=ops) == pytest.approx(np.sqrt(total),
@@ -613,14 +610,14 @@ def test_assemble_matches_int64_triplet_reference(name, k, monkeypatch):
             assert _same_bits(a, ref)
 
 
-@pytest.mark.parametrize("gather", ["stiffness", "moments", "projection", "triple"])
+@pytest.mark.parametrize("gather", ["stiffness", "moments", "projection", "triple", "apply"])
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", REFERENCE_MESHES)
 def test_gathers_in_chunks_of_shape_count_match_one_chunk(name, k, gather, monkeypatch):
     # CHUNK set so that one gather takes as many cells of a stack at a time
     # as the stack has shapes: a chunk's slice of the shape index is then
     # as long as the per-shape arrays, mostly without being their identity.
-    # Assembly, the moments and error_triple keep every bit.
+    # Assembly, the moments, the weak Laplacian and error_triple keep every bit.
     mesh, dm, ops, f, _ = reference_case(name, k)
     ex = builtin_solution(1)
     x = np.random.default_rng(23).standard_normal(len(dm.pos))
@@ -629,15 +626,15 @@ def test_gathers_in_chunks_of_shape_count_match_one_chunk(name, k, gather, monke
     def results():
         system = assemble(mesh, k, ops[0].j, f, dm, ops=ops)
         return ([system.A.indptr, system.A.indices, system.A.data, system.b]
-                + [op.moments(f, dim_pk(op.j)) for op in ops],
+                + [op.moments(f, dim_pk(op.j)) for op in ops] + [op.apply(u_h) for op in ops],
                 error_triple(ex, u_h, mesh, k, ops[0].j, ops=ops))
 
     monkeypatch.setattr(weakop, "CHUNK", 1 << 62)
     want, want_triple = results()
     for op in ops:
         per_cell_size = {"stiffness": op.matrix.shape[-1] ** 2, "moments": op.table[0].size,
-                         "projection": op.r[0].size,
-                         "triple": op.r[0].size + op.matrix[0].size}[gather]
+                         "projection": op.r[0].size, "triple": op.r[0].size,
+                         "apply": op.matrix[0].size}[gather]
         monkeypatch.setattr(weakop, "CHUNK", len(op.r) * per_cell_size)
         got, got_triple = results()
         assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))

@@ -16,16 +16,35 @@ from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
 from sfwg.quadrature import quad_cell, quad_edge
 from sfwg.weakop import (
     WeakFunction,
-    apply_weak_laplacian,
     cell_rule_degree,
     cell_tables,
     element_operators,
-    local_dofs,
     on_cells,
-    per_cell,
     project_edge_data,
 )
 from test_mesh import cell_frames, perturbed
+
+
+# Unchunked references, written apart from the program's gathers: the
+# per-cell product with per-shape tables, and the local DOF layout as an
+# index into WeakFunction.flat.
+
+def per_cell(mats, of, vecs):
+    """``mats[of[c]] @ vecs[c]`` for every cell c, (nc, m), from per-shape
+    matrices (S, m, n) and per-cell vectors (nc, n), in one gather."""
+    return (mats[of] @ vecs[..., None])[..., 0]
+
+
+def local_dofs(mesh, stack, k):
+    """Index of every local DOF of a stack's cells into ``WeakFunction.flat``,
+    (nc, nloc): per cell its v0 block, then per local edge the (v_b, v_n)
+    blocks."""
+    dk = dim_pk(k)
+    nc = len(stack.cells)
+    v0 = stack.cells[:, None] * dk + np.arange(dk)
+    vb = mesh.n_cells * dk + stack.edges[..., None] * k + np.arange(k)
+    vn = vb + mesh.n_edges * k
+    return np.concatenate([v0, np.concatenate([vb, vn], axis=-1).reshape(nc, -1)], axis=1)
 
 
 def cell_stack(mesh, cell):
@@ -96,7 +115,7 @@ def test_zero_maps_to_zero():
     mesh = build_triangular(2)
     v = zero_weak(mesh, 2)
     for op in element_operators(mesh, 2, 4):
-        assert np.allclose(apply_weak_laplacian(op, local(v, mesh, op)), 0.0)
+        assert np.allclose(op.apply(v), 0.0)
 
 
 def test_local_dof_count():
@@ -106,7 +125,7 @@ def test_local_dof_count():
     n_edges = cell_stack(mesh, 0).edges.shape[1]
     assert op.matrix.shape == (1, dim_pk(k + 4), dim_pk(k) + 2 * k * n_edges)
     with pytest.raises(ValueError, match="local DOFs"):
-        apply_weak_laplacian(op, np.zeros(3))
+        op.apply(zero_weak(mesh, k - 1))
 
 
 def _poly_fields(k):
@@ -136,7 +155,7 @@ def test_polynomial_exactness(k, j, builder, n):
 
     v = interpolate_qh(u, grad_u, mesh, k)
     for op in element_operators(mesh, k, j):
-        lifted = apply_weak_laplacian(op, local(v, mesh, op))
+        lifted = op.apply(v)
         for c, cell in enumerate(op.stack.cells):
             pts = quad_cell(mesh.vertices[mesh.cells[cell]], 4).points
             got = psi_tables(op, pts, c)[0] @ lifted[c]
@@ -153,7 +172,7 @@ def test_constant_has_zero_weak_laplacian():
         k,
     )
     for op in element_operators(mesh, k, k + 2):
-        coeff = apply_weak_laplacian(op, local(v, mesh, op))
+        coeff = op.apply(v)
         # the P_j basis is orthonormal, so these are the L2(T) norms
         assert np.linalg.norm(coeff, axis=1).max() < 1e-10
 
@@ -173,7 +192,7 @@ def test_single_vb_column_against_independent_quadrature():
     v.vb[e, 0] = 1.0 / edge_values(k - 1, p0, p1, np.array([0.0]))[0, 0]
 
     op = one_cell_operator(mesh, cell, k, j)
-    coeff = apply_weak_laplacian(op, local(v, mesh, op))[0]
+    coeff = op.apply(v)[0]
 
     # Whatever basis the coefficients are in, test against that basis with
     # edge and cell rules of our own.
@@ -202,7 +221,7 @@ def test_flux_column_sign_tracks_sigma():
     results = {}
     for cell in (ca, cb):
         op = one_cell_operator(mesh, cell, k, j)
-        coeff = apply_weak_laplacian(op, local(v, mesh, op))[0]
+        coeff = op.apply(v)[0]
         p0, p1 = mesh.vertices[mesh.edges[e]]
         erule = quad_edge(p0, p1, 2 * j)
         vj = erule.weights @ (
@@ -224,10 +243,15 @@ def test_linearity():
     mesh = build_triangular(2)
     op = one_cell_operator(mesh, 0, 2, 4)
     rng = np.random.default_rng(7)
-    a = rng.standard_normal(op.matrix.shape[::2])
-    b = rng.standard_normal(op.matrix.shape[::2])
-    lhs = apply_weak_laplacian(op, 2.0 * a - 3.0 * b)
-    rhs = 2.0 * apply_weak_laplacian(op, a) - 3.0 * apply_weak_laplacian(op, b)
+    size = mesh.n_cells * dim_pk(2) + 2 * mesh.n_edges * 2
+    a = rng.standard_normal(size)
+    b = rng.standard_normal(size)
+
+    def lw(x):
+        return op.apply(WeakFunction.from_flat(2, mesh.n_cells, x))
+
+    lhs = lw(2.0 * a - 3.0 * b)
+    rhs = 2.0 * lw(a) - 3.0 * lw(b)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -323,9 +347,9 @@ def test_moments_match_a_finer_rule(make, extra, k):
                                         (lambda: perturbed(build_polygonal(4), seed=3), 4)],
                          ids=["tri", "perturbed"])
 def test_slices_of_a_stack_match_the_whole_stack(make, extra, k, monkeypatch):
-    # WeakFunction.local and StackOperator.moments on a slice of a stack's
-    # cells give that slice of the whole stack's result, bit for bit, also
-    # when the slice is taken in chunks of two cells.
+    # WeakFunction.local, StackOperator.moments and StackOperator.apply on a
+    # slice of a stack's cells give that slice of the whole stack's result,
+    # bit for bit, also when the slice is taken in chunks of two cells.
     mesh = make()
     size = mesh.n_cells * dim_pk(k) + 2 * mesh.n_edges * k
     v = WeakFunction.from_flat(k, mesh.n_cells, np.random.default_rng(k).standard_normal(size))
@@ -335,10 +359,13 @@ def test_slices_of_a_stack_match_the_whole_stack(make, extra, k, monkeypatch):
 
     for op in element_operators(mesh, k, k + extra):
         m, nc = dim_pk(op.j), len(op.stack.cells)
-        whole_local, whole_moments = v.local(op.stack), op.moments(f, m)
+        whole_local, whole_moments, whole_apply = v.local(op.stack), op.moments(f, m), op.apply(v)
         assert np.array_equal(whole_local, local(v, mesh, op))
-        monkeypatch.setattr(weakop, "CHUNK", 2 * op.table[0].size)
+        assert np.array_equal(whole_apply, per_cell(op.matrix, op.stack.shapes[1], whole_local))
         for s in [slice(0, 1), slice(1, nc - 1), slice(nc - 3, None), slice(2, 2)]:
+            monkeypatch.setattr(weakop, "CHUNK", 2 * op.table[0].size)
             assert np.array_equal(v.local(op.stack, s), whole_local[s])
             assert np.array_equal(op.moments(f, m, s), whole_moments[s])
+            monkeypatch.setattr(weakop, "CHUNK", 2 * op.matrix[0].size)
+            assert np.array_equal(op.apply(v, s), whole_apply[s])
         monkeypatch.undo()
