@@ -12,7 +12,7 @@ Three functionals are reported per run:
 The first reads Pi_j lap u and Lw u_h from the operators (``op.moments``
 and ``op.apply``); the others build rules and tables per shape and
 evaluate u (``on_cells``).  Each applies its tables a bounded chunk of
-cells at a time (``weakop._chunks``), so no gather grows with the mesh.
+cells at a time (``weakop._cell_chunks``), so no gather grows with the mesh.
 The edge terms of the second are coefficient norms in the orthonormal
 edge basis, the projections of u_h0 onto it formed by one per-shape
 matrix each.
@@ -27,8 +27,7 @@ from .basis import dim_pk, from_legendre, legendre_laplacian
 from .mesh import cell_stacks
 from .weakop import (
     WeakFunction,
-    _chunks,
-    _shape_rows,
+    _cell_chunks,
     cell_rule_degree,
     cell_tables,
     edge_rule_degree,
@@ -98,11 +97,9 @@ def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops):
     """
     total = 0.0
     for op in ops:
-        of = op.stack.shapes[1]
-        per = np.empty(len(of))
+        per = np.empty(len(op.stack.cells))
         # op.moments and op.apply bound their own gathers, so only R's is counted here.
-        for s in _chunks(len(of), op.r[0].size):
-            rows = _shape_rows(of, s, len(op.r))
+        for s, _, rows in _cell_chunks(op.stack, op.r[0].size):
             moments = op.moments(exact.laplacian, dim_pk(op.j), s)
             proj = from_legendre(op.r[rows], moments[..., None])[..., 0]
             diff = proj - op.apply(u_h, s)
@@ -123,7 +120,7 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
     """
     total = 0.0
     for stack in cell_stacks(mesh):
-        ref, of = stack.shapes
+        ref = stack.shapes[0]
         rule, vals = cell_tables(ref, k, cell_rule_degree(k + 2))
         lap_h = vals @ legendre_laplacian(k) / (0.25 * ref.diameter[:, None, None] ** 2)
 
@@ -133,9 +130,9 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
         erule, chi, vk, grad_n = edge_tables(ref, k, k, edge_rule_degree(k, k + 2))
         wchi = (erule.weights[..., None] * chi).swapaxes(-1, -2)
         qb, qn = ((wchi @ t).reshape(len(vk), -1, vk.shape[-1]) for t in (vk, grad_n))
-        per = np.empty(len(of))
-        for s in _chunks(len(of), lap_h[0].size + 2 * qb[0].size):
-            rows, c0 = _shape_rows(of, s, len(lap_h)), u_h.v0[stack.cells[s], :, None]
+        per = np.empty(len(stack.cells))
+        for s, _, rows in _cell_chunks(stack, lap_h[0].size + 2 * qb[0].size):
+            c0 = u_h.v0[stack.cells[s], :, None]
             h_t = stack.diameter[s]
             lap = on_cells(exact.laplacian, stack, rule, s) - (lap_h[rows] @ c0)[..., 0]
             jump = u_h.vb[stack.edges[s]].reshape(len(c0), -1) - (qb[rows] @ c0)[..., 0]
@@ -152,11 +149,9 @@ def error_l2(exact: ExactSolution, u_h: WeakFunction, mesh):
     k = u_h.k
     total = 0.0
     for stack in cell_stacks(mesh):
-        of = stack.shapes[1]
         rule, vals = cell_tables(stack.shapes[0], k, cell_rule_degree(k + 2))
-        per = np.empty(len(of))
-        for s in _chunks(len(of), vals[0].size):
-            rows = _shape_rows(of, s, len(vals))
+        per = np.empty(len(stack.cells))
+        for s, _, rows in _cell_chunks(stack, vals[0].size):
             diff = (on_cells(exact.u, stack, rule, s)
                     - (vals[rows] @ u_h.v0[stack.cells[s], :, None])[..., 0])
             per[s] = np.sum(rule.weights[rows] * diff * diff, axis=1)

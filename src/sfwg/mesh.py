@@ -65,6 +65,12 @@ class CellStack:
         ref = replace(self) if len(first) == len(of) else self.rows(first[order])
         return ref, np.argsort(order)[of]
 
+    def shape_rows(self, cells):
+        """The rows of per-shape arrays for the slice ``cells``: the slice
+        itself when every cell is its own shape, else ``shapes[1][cells]``."""
+        ref, of = self.shapes
+        return cells if len(ref.cells) == len(of) else of[cells]
+
 
 @dataclass
 class Mesh:

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import dim_pk
-from .weakop import WeakFunction, _chunks, project_edge_data
+from .weakop import WeakFunction, _cell_chunks, _chunks, project_edge_data
 
 
 # SuperLU's panel width.  Its dense panel workspace, about m x PANEL_SIZE x
@@ -212,7 +212,7 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
     indptr = indptr.astype(np.int32 if indptr[-1] < 2**31 else np.int64)
     cols, vals, b = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1]), np.zeros(n)
     for op, idx in zip(ops, idxs):
-        stack, of = op.stack, op.stack.shapes[1]
+        stack = op.stack
         free = idx >= 0
         lo, hi = mesh.edge_cells[stack.edges].transpose(2, 0, 1)
         after = np.where(hi == stack.cells[:, None], width[lo], 0)  # the higher cell's offset
@@ -223,8 +223,8 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
         # Load (f, phi_i)_T on the v0 block, less the constrained columns,
         # which only cells with a constrained DOF have.
         rhs = np.zeros(idx.shape)
-        for s in _chunks(len(of), kshape[0].size):
-            ke, pair = kshape[of[s]], free[s, :, None] & free[s, None, :]
+        for s, _, rows in _cell_chunks(stack, kshape[0].size):
+            ke, pair = kshape[rows], free[s, :, None] & free[s, None, :]
             at = (start[s, :, None] + column[s, None, :])[pair]
             cols[at] = np.broadcast_to(idx[s, None, :], ke.shape)[pair]
             vals[at] = ke[pair]

@@ -18,6 +18,9 @@ sigma = n_e . n, which is how the edge columns below get their signs.
 ``cell_tables`` and ``edge_tables`` alone build rules and the tables at
 their points, on the shapes of a CellStack (``CellStack.shapes``); per
 cell, ``on_cells`` evaluates a field, a slice of cells at a time.
+Every per-cell loop, here and in ``system`` and ``errors``, walks a stack's
+cells a bounded chunk at a time with ``_cell_chunks``, which also gives the
+rows of the per-shape arrays (``CellStack.shape_rows``).
 A StackOperator keeps its cell rule and table: ``StackOperator.moments``
 gives the load of ``system`` and Pi_j lap u of ``errors`` under them, and
 ``StackOperator.apply`` gives Lw v on a slice of the stack's cells, from
@@ -82,9 +85,8 @@ def on_cells(f, stack: CellStack, rule, cells=slice(None)):
     """``f`` at the points of a rule on the stack's shapes, moved onto each
     of the given ``cells`` (a slice of the stack's rows) by the offset of
     its first vertex from its shape's, (nc, q)."""
-    ref, of = stack.shapes
-    of = of[cells]
-    return at_points(f, stack.polygons[cells, :1] - ref.polygons[of, :1] + rule.points[of])
+    ref, rows = stack.shapes[0], stack.shape_rows(cells)
+    return at_points(f, stack.polygons[cells, :1] - ref.polygons[rows, :1] + rule.points[rows])
 
 
 CHUNK = 1 << 18  # the most numbers in one gathered chunk of per-cell or per-row data
@@ -96,18 +98,16 @@ def _chunks(n, size):
     return [slice(a, a + step) for a in range(0, n, step)]
 
 
-def _cell_chunks(n, cells, size):
-    """The chunks of ``_chunks`` over the rows ``cells`` (a slice) of
-    range(n), each as a pair: its slice of those rows, and of range(n)."""
-    span = range(n)[cells]
-    return [(s, slice(span[s].start, span[s].stop)) for s in _chunks(len(span), size)]
-
-
-def _shape_rows(of, s, n_shapes):
-    """The rows of per-shape arrays for the cells of slice ``s`` of a whole
-    shape index ``of``: ``s`` itself when every cell is its own shape (``of``
-    is then the identity), so nothing is gathered, else ``of[s]``."""
-    return s if len(of) == n_shapes else of[s]
+def _cell_chunks(stack, size, cells=slice(None)):
+    """The walk over ``cells`` (a slice of the stack's rows, of step 1) in
+    the chunks of ``_chunks``: per chunk, its slice of those cells, its slice
+    of the stack's rows, and their rows of the per-shape arrays."""
+    start, stop, step = cells.indices(len(stack.cells))
+    if step != 1:
+        raise ValueError(f"cells must be a slice of step 1, got {cells}")
+    for s in _chunks(max(0, stop - start), size):
+        c = slice(start + s.start, min(start + s.stop, stop))
+        yield s, c, stack.shape_rows(c)
 
 
 @dataclass
@@ -147,8 +147,8 @@ class WeakFunction:
 
 @dataclass
 class StackOperator:
-    """Matrix form of the weak Laplacian on one CellStack, per shape: cell
-    c has row ``stack.shapes[1][c]``.
+    """Matrix form of the weak Laplacian on one CellStack, per shape: the
+    cells of a slice c have rows ``stack.shape_rows(c)``.
 
     ``matrix`` (S, dim P_j, nloc) maps a cell's local DOF vector (in the
     order of ``WeakFunction.local``) to P_j(T) coefficients in psi = V R^-1,
@@ -170,11 +170,9 @@ class StackOperator:
         """(f, V_i)_T for the leading ``m`` Legendre products of the given
         ``cells`` (a slice of the stack's rows, all by default), (nc, m),
         under the operator's cell rule, a chunk of cells at a time."""
-        of = self.stack.shapes[1]
         mats, sqrt_w = self.table[..., :m].swapaxes(-1, -2), np.sqrt(self.rule.weights)
         out = np.empty((len(self.stack.cells[cells]), m))
-        for s, c in _cell_chunks(len(of), cells, self.table[0].size):
-            rows = _shape_rows(of, c, len(mats))
+        for s, c, rows in _cell_chunks(self.stack, self.table[0].size, cells):
             g = on_cells(f, self.stack, self.rule, c) * sqrt_w[rows]
             out[s] = (mats[rows] @ g[..., None])[..., 0]
         return out
@@ -183,13 +181,12 @@ class StackOperator:
         """Lw v in the basis psi on the given ``cells`` (a slice of the
         stack's rows, all by default), (nc, dim P_j), from the local DOF
         vectors of ``v`` (``WeakFunction.local``), a chunk of cells at a time."""
-        of, nloc = self.stack.shapes[1], self.matrix.shape[-1]
+        nloc = self.matrix.shape[-1]
         width = v.local(self.stack, slice(0)).shape[1]
         if width != nloc:
             raise ValueError(f"expected {nloc} local DOFs per cell, got {width}")
         out = np.empty((len(self.stack.cells[cells]), self.matrix.shape[1]))
-        for s, c in _cell_chunks(len(of), cells, self.matrix[0].size):
-            rows = _shape_rows(of, c, len(self.matrix))
+        for s, c, rows in _cell_chunks(self.stack, self.matrix[0].size, cells):
             out[s] = (self.matrix[rows] @ v.local(self.stack, c)[..., None])[..., 0]
         return out
 

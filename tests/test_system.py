@@ -610,14 +610,15 @@ def test_assemble_matches_int64_triplet_reference(name, k, monkeypatch):
             assert _same_bits(a, ref)
 
 
-@pytest.mark.parametrize("gather", ["stiffness", "moments", "projection", "triple", "apply"])
+@pytest.mark.parametrize("gather", ["stiffness", "moments", "triple", "apply", "2h", "l2"])
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", REFERENCE_MESHES)
 def test_gathers_in_chunks_of_shape_count_match_one_chunk(name, k, gather, monkeypatch):
     # CHUNK set so that one gather takes as many cells of a stack at a time
     # as the stack has shapes: a chunk's slice of the shape index is then
     # as long as the per-shape arrays, mostly without being their identity.
-    # Assembly, the moments, the weak Laplacian and error_triple keep every bit.
+    # Assembly, the moments, the weak Laplacian and the three error
+    # functionals keep every bit.
     mesh, dm, ops, f, _ = reference_case(name, k)
     ex = builtin_solution(1)
     x = np.random.default_rng(23).standard_normal(len(dm.pos))
@@ -627,18 +628,23 @@ def test_gathers_in_chunks_of_shape_count_match_one_chunk(name, k, gather, monke
         system = assemble(mesh, k, ops[0].j, f, dm, ops=ops)
         return ([system.A.indptr, system.A.indices, system.A.data, system.b]
                 + [op.moments(f, dim_pk(op.j)) for op in ops] + [op.apply(u_h) for op in ops],
-                error_triple(ex, u_h, mesh, k, ops[0].j, ops=ops))
+                (error_triple(ex, u_h, mesh, k, ops[0].j, ops=ops), error_2h(ex, u_h, mesh, k),
+                 error_l2(ex, u_h, mesh)))
 
     monkeypatch.setattr(weakop, "CHUNK", 1 << 62)
-    want, want_triple = results()
+    want, want_errors = results()
     for op in ops:
+        # The per-cell sizes of error_2h and error_l2: their cell table and,
+        # for error_2h, the two edge projections of a cell's u_h0.
+        vals = cell_tables(op.stack.shapes[0], k, cell_rule_degree(k + 2))[1]
+        qb_size = op.stack.polygons.shape[1] * k * dim_pk(k)
         per_cell_size = {"stiffness": op.matrix.shape[-1] ** 2, "moments": op.table[0].size,
-                         "projection": op.r[0].size, "triple": op.r[0].size,
-                         "apply": op.matrix[0].size}[gather]
+                         "triple": op.r[0].size, "apply": op.matrix[0].size,
+                         "2h": vals[0].size + 2 * qb_size, "l2": vals[0].size}[gather]
         monkeypatch.setattr(weakop, "CHUNK", len(op.r) * per_cell_size)
-        got, got_triple = results()
+        got, got_errors = results()
         assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
-        assert got_triple == want_triple
+        assert got_errors == want_errors
 
 
 def _traced_peak(call):

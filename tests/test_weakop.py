@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -349,7 +350,8 @@ def test_moments_match_a_finer_rule(make, extra, k):
 def test_slices_of_a_stack_match_the_whole_stack(make, extra, k, monkeypatch):
     # WeakFunction.local, StackOperator.moments and StackOperator.apply on a
     # slice of a stack's cells give that slice of the whole stack's result,
-    # bit for bit, also when the slice is taken in chunks of two cells.
+    # bit for bit, also when the slice is taken in chunks of two cells.  The
+    # last two take slices of step 1 only, and name any other slice.
     mesh = make()
     size = mesh.n_cells * dim_pk(k) + 2 * mesh.n_edges * k
     v = WeakFunction.from_flat(k, mesh.n_cells, np.random.default_rng(k).standard_normal(size))
@@ -369,3 +371,39 @@ def test_slices_of_a_stack_match_the_whole_stack(make, extra, k, monkeypatch):
             monkeypatch.setattr(weakop, "CHUNK", 2 * op.matrix[0].size)
             assert np.array_equal(op.apply(v, s), whole_apply[s])
         monkeypatch.undo()
+        for s in [slice(0, 10, 2), slice(None, None, -1)]:
+            with pytest.raises(ValueError, match=re.escape(str(s))):
+                op.moments(f, m, s)
+            with pytest.raises(ValueError, match=re.escape(str(s))):
+                op.apply(v, s)
+
+
+@pytest.mark.parametrize("make,own", [(lambda: build_triangular(4), False),
+                                      (lambda: perturbed(build_polygonal(4), seed=3), True)],
+                         ids=["tri", "perturbed"])
+def test_cell_chunks_walk_a_slice_once_in_order(make, own, monkeypatch):
+    # The one walk over a stack's cells: chunks of at most CHUNK // size
+    # cells cover the slice once, in order, each with its cells' rows of the
+    # per-shape arrays.  Where every cell is its own shape (the perturbed
+    # mesh) those rows are the chunk's slice itself, so nothing is gathered.
+    size = 5
+    monkeypatch.setattr(weakop, "CHUNK", 3 * size + 2)
+    for stack in make().stacks:
+        ref, of = stack.shapes
+        nc = len(stack.cells)
+        assert (len(ref.cells) == nc) == own
+        for cells in [slice(None), slice(1, nc - 1), slice(nc - 4, None), slice(2, 2),
+                      slice(nc, nc + 3)]:
+            span = range(nc)[cells]
+            walk = list(weakop._cell_chunks(stack, size, cells))
+            if len(span) == 0:
+                assert walk == []
+            assert [i for _, c, _ in walk for i in range(nc)[c]] == list(span)
+            assert [i for s, _, _ in walk for i in range(len(span))[s]] == list(range(len(span)))
+            for s, c, rows in walk:
+                assert 1 <= len(range(nc)[c]) <= 3
+                assert list(span[s]) == list(range(nc)[c])
+                if own:
+                    assert rows == c
+                else:
+                    assert np.array_equal(rows, of[c])
