@@ -10,9 +10,10 @@ Three functionals are reported per run:
 * the plain L2 error of the cell-interior part.
 
 The first reads Pi_j lap u and Lw u_h from the operators (``op.moments``
-and ``op.apply``); the others build rules and tables per shape and
-evaluate u (``on_cells``).  Each applies its tables a bounded chunk of
-cells at a time (``weakop._cell_chunks``), so no gather grows with the mesh.
+and ``op.apply``); the others build rules per shape, of degree 2k+6 on
+cells and 2k+2 on edges, and tables at their points, and evaluate u
+(``on_cells``).  Each applies its tables a bounded chunk of cells at a
+time (``weakop._cell_chunks``), so no gather grows with the mesh.
 The edge terms of the second are coefficient norms in the orthonormal
 edge basis, the projections of u_h0 onto it formed by one per-shape
 matrix each.
@@ -25,15 +26,7 @@ import numpy as np
 
 from .basis import dim_pk, from_legendre, legendre_laplacian
 from .mesh import cell_stacks
-from .weakop import (
-    WeakFunction,
-    _cell_chunks,
-    cell_rule_degree,
-    cell_tables,
-    edge_rule_degree,
-    edge_tables,
-    on_cells,
-)
+from .weakop import WeakFunction, _cell_chunks, cell_tables, edge_tables, on_cells
 
 
 @dataclass
@@ -121,13 +114,13 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
     total = 0.0
     for stack in cell_stacks(mesh):
         ref = stack.shapes[0]
-        rule, vals = cell_tables(ref, k, cell_rule_degree(k + 2))
+        rule, vals = cell_tables(ref, k, 2 * k + 6)
         lap_h = vals @ legendre_laplacian(k) / (0.25 * ref.diameter[:, None, None] ** 2)
 
         # v_b, v_n and, on a straight edge, grad u_h0 . n lie in P_{k-1}(e),
         # so both edge terms are coefficient norms in the orthonormal edge
         # basis: ||u_hb - Qb(u_h0)||^2 and ||sigma u_hn - Qb(grad u_h0 . n)||^2.
-        erule, chi, vk, grad_n = edge_tables(ref, k, k, edge_rule_degree(k, k + 2))
+        erule, chi, vk, grad_n = edge_tables(ref, k, k, 2 * k + 2)
         wchi = (erule.weights[..., None] * chi).swapaxes(-1, -2)
         qb, qn = ((wchi @ t).reshape(len(vk), -1, vk.shape[-1]) for t in (vk, grad_n))
         per = np.empty(len(stack.cells))
@@ -149,7 +142,7 @@ def error_l2(exact: ExactSolution, u_h: WeakFunction, mesh):
     k = u_h.k
     total = 0.0
     for stack in cell_stacks(mesh):
-        rule, vals = cell_tables(stack.shapes[0], k, cell_rule_degree(k + 2))
+        rule, vals = cell_tables(stack.shapes[0], k, 2 * k + 6)
         per = np.empty(len(stack.cells))
         for s, _, rows in _cell_chunks(stack, vals[0].size):
             diff = (on_cells(exact.u, stack, rule, s)

@@ -1,11 +1,12 @@
 """2D polygonal meshes of the unit square with edge-orientation data.
 
-A Mesh carries, besides vertices and cells, one fixed unit normal per edge
-(the lower-to-higher vertex-index tangent rotated by +90 degrees) and, per
-cell, the sign sigma = n_e . n_outward for each of its edges.  The weak
-operators consume exactly this data, from the mesh's stacks of cells with
-equal vertex counts.  Cells of a stack that are translates, with equal
-sigma, share a shape, and element data is built once per shape.
+A Mesh carries, besides vertices and cells, per cell the sign sigma =
+n_e . n_outward for each of its edges, where n_e is the edge's fixed unit
+normal (the lower-to-higher vertex-index tangent rotated by +90 degrees),
+derived where it is read (``_outward``).  The weak operators consume this
+data, from the mesh's stacks of cells with equal vertex counts.  Cells of
+a stack that are translates, with equal sigma, share a shape, and element
+data is built once per shape.
 """
 
 import functools
@@ -80,7 +81,6 @@ class Mesh:
     vertices: np.ndarray     # (nv, 2)
     cells: list              # list of CCW vertex-index arrays
     edges: np.ndarray        # (ne, 2), lo < hi
-    edge_normal: np.ndarray  # (ne, 2) fixed unit normals
     edge_cells: np.ndarray   # (ne, 2) incident cells in increasing order, -1 if none
     stacks: list             # CellStacks, in increasing vertex count
     h: float
@@ -114,7 +114,7 @@ def _cross(u, w):
 
 def _outward(d):
     """Unit normals to the right of edge vectors d (..., 2): the outward
-    normals of a CCW cell's edges."""
+    normals of a CCW cell's edges, and n_e for d = p_lo - p_hi."""
     return np.stack([d[..., 1], -d[..., 0]], axis=-1) / np.hypot(d[..., 0], d[..., 1])[..., None]
 
 
@@ -214,8 +214,6 @@ def _build(vertices, cells, h=None):
     length = np.hypot(t[:, 0], t[:, 1])
     if (length == 0.0).any():
         raise MeshTopologyError(f"edge {int(np.argmax(length == 0.0))} has zero length")
-    t /= length[:, None]
-    normals = np.stack([-t[:, 1], t[:, 0]], axis=1)  # tangent rotated +90 degrees
 
     # sigma = n_e . n_outward per half-edge: n_e is the left normal of
     # lo -> hi and n_outward the right normal of the half-edge, as the cell
@@ -240,7 +238,6 @@ def _build(vertices, cells, h=None):
         vertices=vertices,
         cells=[flat[a:b] for a, b in zip(first.tolist(), (first + count).tolist())],
         edges=edges,
-        edge_normal=normals,
         edge_cells=edge_cells,
         stacks=stacks,
         h=float(max(s.diameter.max() for s in stacks)) if h is None else float(h),
@@ -455,7 +452,7 @@ def validate(mesh: Mesh) -> list:
         report.extend(f"{where(*i)}: {name} differs from the rebuilt mesh"
                       for i in zip(*np.nonzero(differ.any(axis=-1))))
 
-    for name in ("edges", "edge_normal", "edge_cells"):
+    for name in ("edges", "edge_cells"):
         compare(name, getattr(mesh, name), getattr(built, name), 1, lambda e: f"edge {e}")
     if not abs(mesh.h - built.h) <= 4 * np.finfo(float).eps * np.abs(mesh.vertices).max():
         report.append(f"h is {mesh.h!r}, largest rebuilt diameter {built.h!r}")

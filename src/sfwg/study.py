@@ -168,14 +168,3 @@ def write_report(report: ConvergenceReport, fmt: str, stream):
             stream.write("| " + " | ".join(row[c] or "-" for c in _COLUMNS) + " |\n")
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
-
-
-def parse_provenance(text: str) -> dict:
-    """Recover the metadata header from an emitted table."""
-    meta = {}
-    for line in text.splitlines():
-        if not line.startswith("# "):
-            break
-        key, _, value = line[2:].partition("=")
-        meta[key] = value
-    return meta

@@ -5,13 +5,16 @@ cells (George 1973; Lipton, Rose and Tarjan 1979; ``_dissection_ranks``),
 so ``assemble`` builds A in a fill-reducing order and ``solve`` factors it
 as given.  v0 couples only to its own cell's edges, so the edges cut
 between two groups of cells separate them exactly; each cut edge comes
-after both groups, and each cell's v0 before its edges.  Constrained
-DOFs are left out: the v_b/v_n DOFs of boundary edges.  These are zero for
-the clamped problem, or the edge projections of supplied boundary data
-(given relative to the fixed edge normal n_e), and their stiffness columns
-are moved to the right-hand side.  The load is read from the operators
-(``op.moments``).  Free positions are int32, the index type of the
-sparse matrices, so they are A's column indices as they stand.
+after both groups, and each cell's v0 before its edges.  The ranks are
+spread over the DOFs of the flat layout by ``WeakFunction.flat_of`` and
+numbered by one stable sort; ``assemble`` lays out its row lengths the
+same way.  Constrained DOFs are left out: the v_b/v_n DOFs of boundary
+edges.  These are zero for the clamped problem, or the edge projections
+of supplied boundary data (given relative to the fixed edge normal n_e),
+and their stiffness columns are moved to the right-hand side.  The load
+is read from the operators (``op.moments``).  Free positions are int32,
+the index type of the sparse matrices, so they are A's column indices as
+they stand.
 
 Solve: A factored as assembled, diagonal pivots, narrow SuperLU panels,
 refinement to ``tol``.
@@ -70,20 +73,12 @@ def build_dof_map(mesh, k, g_d=None, g_n=None) -> DofMap:
     boundary = np.flatnonzero(mesh.edge_boundary)
     constrained.vb[boundary], constrained.vn[boundary] = project_edge_data(
         mesh, boundary, k, g_d, g_n)
-    # The DOFs of ``flat`` come in blocks of equal rank: a cell's v0, then an
-    # edge's v_b, then its v_n.  A stable sort of the free blocks, so that a
-    # leaf's v0 comes before its uncut edges, gives each block's first position.
-    cell_rank, edge_rank = _dissection_ranks(mesh)
-    rank = np.concatenate([cell_rank, edge_rank, edge_rank])
-    width = np.repeat([dim_pk(k), k, k], [mesh.n_cells, mesh.n_edges, mesh.n_edges])
-    free = np.flatnonzero(np.concatenate([np.ones(mesh.n_cells, dtype=bool),
-                                          ~mesh.edge_boundary, ~mesh.edge_boundary]))
-    order = free[np.argsort(rank[free], kind="stable")]
-    first = np.full(len(rank), -1, dtype=np.int32)
-    first[order] = np.cumsum(width[order]) - width[order]
-    within = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-    first = np.repeat(first, width)
-    pos = np.where(first < 0, first, first + within).astype(np.int32)
+    # A stable sort by rank keeps a leaf's v0 before its uncut edges.
+    rank = WeakFunction.flat_of(k, *_dissection_ranks(mesh))
+    free = np.flatnonzero(WeakFunction.flat_of(k, np.ones(mesh.n_cells, dtype=bool),
+                                               ~mesh.edge_boundary))
+    pos = np.full(len(rank), -1, dtype=np.int32)
+    pos[free[np.argsort(rank[free], kind="stable")]] = np.arange(len(free))
     return DofMap(pos=pos, constrained=constrained)
 
 
@@ -203,9 +198,7 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
     for op, idx in zip(ops, idxs):
         width[op.stack.cells] = np.count_nonzero(idx >= 0, axis=1)
     # A boundary edge's DOFs are constrained, so its missing cell is not read.
-    edge = np.repeat(width[mesh.edge_cells].sum(axis=1)[:, None], k, axis=1)
-    length = WeakFunction(k=k, v0=np.repeat(width[:, None], dk, axis=1),
-                          vb=edge, vn=edge).flat()
+    length = WeakFunction.flat_of(k, width, width[mesh.edge_cells].sum(axis=1))
     indptr = np.zeros(n + 1, dtype=np.int64)
     indptr[1 + dofmap.pos[dofmap.pos >= 0]] = length[dofmap.pos >= 0]
     np.cumsum(indptr, out=indptr)  # A's index type now: a cast at the end would pin the heap

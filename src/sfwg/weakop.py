@@ -42,7 +42,7 @@ from .basis import (
     legendre_values,
     orthonormal_factor,
 )
-from .mesh import CellStack, cell_stacks
+from .mesh import CellStack, _outward, cell_stacks
 from .quadrature import QuadratureRule, at_points, quad_cell, quad_edge
 
 
@@ -123,6 +123,13 @@ class WeakFunction:
         """All coefficients as one vector [v0 | v_b | v_n]: the layout of
         ``DofMap.pos`` and of ``from_flat``."""
         return np.concatenate([self.v0.ravel(), self.vb.ravel(), self.vn.ravel()])
+
+    @staticmethod
+    def flat_of(k: int, cell, edge) -> np.ndarray:
+        """The ``flat`` vector that repeats ``cell[c]`` over cell c's v0 block
+        and ``edge[e]`` over edge e's v_b and v_n blocks."""
+        edge = np.repeat(edge[:, None], k, axis=1)
+        return WeakFunction(k, np.repeat(cell[:, None], dim_pk(k), axis=1), edge, edge).flat()
 
     def local(self, stack: CellStack, cells=slice(None)) -> np.ndarray:
         """The local DOF vectors of the given ``cells`` (a slice of the
@@ -250,7 +257,9 @@ def project_edge_data(mesh, edges, k: int, u=None, grad=None):
     """(v_b, v_n) on the given edges, (len(edges), k) each: the edge
     projections of the trace of ``u`` and of ``grad . n_e``, or zeros where
     the field is None.  The edge basis is orthonormal, so each is an inner
-    product, under a rule exact for the product of two P_k functions.
+    product, under a rule exact for the product of two P_k functions.  n_e
+    is the lo -> hi tangent turned by +90 degrees, the outward normal of the
+    hi -> lo edge vector.
     """
     p0, p1 = mesh.vertices[mesh.edges[edges, 0]], mesh.vertices[mesh.edges[edges, 1]]
     rule = quad_edge(p0, p1, 2 * k)
@@ -261,5 +270,5 @@ def project_edge_data(mesh, edges, k: int, u=None, grad=None):
 
     vb = np.zeros((len(edges), k)) if u is None else project(at_points(u, rule.points))
     vn = np.zeros((len(edges), k)) if grad is None else project(
-        np.sum(at_points(grad, rule.points) * mesh.edge_normal[edges, None, :], axis=-1))
+        np.sum(at_points(grad, rule.points) * _outward(p0 - p1)[:, None, :], axis=-1))
     return vb, vn

@@ -18,7 +18,7 @@ from sfwg.basis import (
 from sfwg.mesh import build_triangular, load_mesh
 from sfwg.quadrature import quad_cell, quad_edge
 from sfwg.weakop import project_edge_data
-from test_mesh import cell_frames
+from test_mesh import cell_frames, edge_normal
 from test_weakop import interpolate_qh
 
 TRI = np.array([[0.1, 0.2], [0.7, 0.15], [0.35, 0.9]])
@@ -204,7 +204,7 @@ def test_edge_projection_reproduces_polynomials():
     pts = p0 + np.outer(s / length, p1 - p0)
     chi = edge_values(k - 1, p0, p1, s)
     assert np.allclose(chi @ vb[0], g(pts), atol=1e-12)
-    assert np.allclose(chi @ vn[0], grad_g(pts) @ mesh.edge_normal[e], atol=1e-12)
+    assert np.allclose(chi @ vn[0], grad_g(pts) @ edge_normal(mesh)[e], atol=1e-12)
 
 
 def test_edge_projection_orthogonality():
@@ -225,7 +225,7 @@ def test_edge_projection_orthogonality():
     rule = quad_edge(p0, p1, 2 * k)
     v = edge_values(k - 1, p0, p1, rule.params)
     for target, c in ((g(rule.points), vb[0]),
-                      (grad_g(rule.points) @ mesh.edge_normal[e], vn[0])):
+                      (grad_g(rule.points) @ edge_normal(mesh)[e], vn[0])):
         resid = target - v @ c
         assert np.allclose(v.T @ (rule.weights * resid), 0.0, atol=1e-13)
 

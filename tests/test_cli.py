@@ -17,7 +17,6 @@ from sfwg.study import (
     ConfigError,
     StudyConfig,
     default_j,
-    parse_provenance,
     run_study,
     write_report,
 )
@@ -27,6 +26,17 @@ from test_mesh import DOUBLY_WOUND
 from test_quadrature import monomial_integral
 
 CSV_HEADER = "n,h,err_triple,rate_triple,err_2h,rate_2h,err_l2,rate_l2"
+
+
+def parse_provenance(text: str) -> dict:
+    """Recover the metadata header from an emitted table."""
+    meta = {}
+    for line in text.splitlines():
+        if not line.startswith("# "):
+            break
+        key, _, value = line[2:].partition("=")
+        meta[key] = value
+    return meta
 
 
 def report_to_string(report, fmt="csv"):

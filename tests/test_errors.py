@@ -18,9 +18,7 @@ from sfwg.study import StudyConfig, run_study
 from sfwg.system import solve_biharmonic
 from sfwg.weakop import (
     WeakFunction,
-    cell_rule_degree,
     cell_tables,
-    edge_rule_degree,
     edge_tables,
     element_operators,
     on_cells,
@@ -217,11 +215,11 @@ def reference_error_2h(exact, u_h, mesh, k):
         ref, of = stack.shapes
         c0 = u_h.v0[stack.cells]
         h_t = stack.diameter
-        rule, vals = cell_tables(ref, k, cell_rule_degree(k + 2))
+        rule, vals = cell_tables(ref, k, 2 * k + 6)
         lap_h = vals @ legendre_laplacian(k) / (0.25 * ref.diameter[:, None, None] ** 2)
         lap = on_cells(exact.laplacian, stack, rule) - per_cell(lap_h, of, c0)
         t_lap = np.sum(rule.weights[of] * lap * lap, axis=-1)
-        erule, chi, vk, grad_n = edge_tables(ref, k, k, edge_rule_degree(k, k + 2))
+        erule, chi, vk, grad_n = edge_tables(ref, k, k, 2 * k + 2)
         w, chi, vk, grad_n = erule.weights[of], chi[of], vk[of], grad_n[of]
         coeffs = u_h.vb[stack.edges] - np.einsum(
             "ctqa,ctq->cta", chi, w * np.einsum("ctqi,ci->ctq", vk, c0))

@@ -1,7 +1,8 @@
 """Every name a module of ``sfwg`` or a test module imports is used in it,
 every private function or class of ``sfwg`` is named somewhere in ``sfwg``,
-and ``sfwg.__all__`` lists the package's public names.  ``__init__.py`` is
-left out of the first check: its imports are the package's public names."""
+every public one in ``sfwg`` or the benchmark, and ``sfwg.__all__`` lists
+the package's public names.  ``__init__.py`` is left out of the first
+check: its imports are the package's public names."""
 
 import ast
 import types
@@ -12,6 +13,7 @@ import pytest
 import sfwg
 
 SOURCES = sorted(Path(sfwg.__file__).parent.glob("*.py"))
+BENCHMARK = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES += sorted(Path(__file__).parent.glob("*.py"))
 
@@ -31,18 +33,37 @@ def test_every_import_is_used(path):
     assert sorted(set(imported_names(tree)) - used) == []
 
 
+def named(paths):
+    """Every name that the modules at ``paths`` use, by name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for p in paths for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def defined(private):
+    """The package's module-level functions and classes, as (module, name),
+    the private or the public ones."""
+    return [(p.stem, node.name) for p in SOURCES
+            for node in ast.parse(p.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") == private and not node.name.endswith("__")]
+
+
 def test_every_private_helper_is_referenced():
     # A private module-level function or class that nothing in the package
     # names, by name or as an attribute, is a helper a refactor left behind.
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
-    private = [(stem, node.name) for stem, tree in trees.items() for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.endswith("__")]
+    used, private = named(SOURCES), defined(private=True)
     assert private
     assert [f"{stem}.{name}" for stem, name in private if name not in used] == []
+
+
+def test_every_public_function_or_class_has_a_caller():
+    # A public one that neither the package nor the benchmark names serves
+    # only the tests, and belongs with them.
+    assert BENCHMARK
+    used, public = named(SOURCES + BENCHMARK), defined(private=False)
+    assert public
+    assert [f"{stem}.{name}" for stem, name in public if name not in used] == []
 
 
 def test_all_lists_the_public_names():

@@ -636,7 +636,7 @@ def test_gathers_in_chunks_of_shape_count_match_one_chunk(name, k, gather, monke
     for op in ops:
         # The per-cell sizes of error_2h and error_l2: their cell table and,
         # for error_2h, the two edge projections of a cell's u_h0.
-        vals = cell_tables(op.stack.shapes[0], k, cell_rule_degree(k + 2))[1]
+        vals = cell_tables(op.stack.shapes[0], k, 2 * k + 6)[1]
         qb_size = op.stack.polygons.shape[1] * k * dim_pk(k)
         per_cell_size = {"stiffness": op.matrix.shape[-1] ** 2, "moments": op.table[0].size,
                          "triple": op.r[0].size, "apply": op.matrix[0].size,

@@ -23,7 +23,7 @@ from sfwg.weakop import (
     on_cells,
     project_edge_data,
 )
-from test_mesh import cell_frames, perturbed
+from test_mesh import cell_frames, edge_normal, perturbed
 
 
 # Unchunked references, written apart from the program's gathers: the
@@ -197,7 +197,7 @@ def test_single_vb_column_against_independent_quadrature():
 
     # Whatever basis the coefficients are in, test against that basis with
     # edge and cell rules of our own.
-    n_out = sigma * mesh.edge_normal[e]
+    n_out = sigma * edge_normal(mesh)[e]
     erule = quad_edge(p0, p1, 2 * j)
     _, gx, gy = psi_tables(op, erule.points)
     rhs = -((gx * n_out[0] + gy * n_out[1]).T @ erule.weights)
@@ -341,6 +341,32 @@ def test_moments_match_a_finer_rule(make, extra, k):
                                        op.stack.diameter[c], j)[:, :m]
                 want = vals.T @ (rule.weights * f(rule.points))
                 assert np.abs(got[c] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", [
+    lambda x: x > 0, lambda x: np.rint(100 * x).astype(np.int32), lambda x: x],
+    ids=["bool", "int32", "float"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("mesh", [build_triangular(4), build_polygonal(4)], ids=["tri", "poly"])
+def test_flat_of_repeats_values_over_their_blocks(mesh, k, kind):
+    # WeakFunction.flat_of repeats a value per cell over the cell's v0 block
+    # and a value per edge over the edge's v_b and v_n blocks, in the global
+    # layout of flat; WeakFunction.local then reads the cell's value in every
+    # v0 column and each local edge's value in its 2k columns.
+    rng, dk = np.random.default_rng(k), dim_pk(k)
+    cell, edge = kind(rng.standard_normal(mesh.n_cells)), kind(rng.standard_normal(mesh.n_edges))
+    got = WeakFunction.flat_of(k, cell, edge)
+    want = WeakFunction(k, v0=np.repeat(cell, dk).reshape(-1, dk),
+                        vb=np.repeat(edge, k).reshape(-1, k),
+                        vn=np.repeat(edge, k).reshape(-1, k)).flat()
+    assert got.dtype == cell.dtype and np.array_equal(got, want)
+    v = WeakFunction.from_flat(k, mesh.n_cells, got)
+    for stack in mesh.stacks:
+        nc, nv = stack.edges.shape
+        loc = v.local(stack)
+        assert np.array_equal(loc[:, :dk], np.repeat(cell[stack.cells, None], dk, axis=1))
+        assert np.array_equal(loc[:, dk:].reshape(nc, nv, 2 * k),
+                              np.repeat(edge[stack.edges][..., None], 2 * k, axis=2))
 
 
 @pytest.mark.parametrize("k", [2, 3])
