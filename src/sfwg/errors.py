@@ -9,7 +9,7 @@ Three functionals are reported per run:
   which the traces of the smooth field cancel;
 * the plain L2 error of the cell-interior part.
 
-The first reads Pi_j lap u and Lw u_h from the operators (``op.moments``
+The first reads Pi_j lap u and Lw u_h from the operators (``op.project``
 and ``op.apply``); the others build rules per shape, of degree 2k+6 on
 cells and 2k+2 on edges, and tables at their points, and evaluate u
 (``on_cells``).  Each applies its tables a bounded chunk of cells at a
@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import dim_pk, from_legendre, legendre_laplacian
-from .mesh import cell_stacks
+from .basis import legendre_laplacian
 from .weakop import WeakFunction, _cell_chunks, cell_tables, edge_tables, on_cells
 
 
@@ -54,15 +53,6 @@ class ConvergenceReport:
         self.rows.append(row)
 
 
-def _zeros(p):
-    return np.zeros(len(p))
-
-
-# u = 0: each error functional of a weak function against it is its norm.
-ZERO = ExactSolution("zero", u=_zeros, grad=lambda p: np.zeros((len(p), 2)),
-                     laplacian=_zeros, source=_zeros)
-
-
 def convergence_rates(errors, hs):
     """Observed orders log(e_{i-1}/e_i) / log(h_{i-1}/h_i); None if undefined,
     that is for a non-positive error or two equal mesh sizes."""
@@ -81,21 +71,18 @@ def error_triple(exact: ExactSolution, u_h: WeakFunction, mesh, k, j, ops):
     """Energy-norm error via the projected-Laplacian identity.
 
     ``ops`` is the list that ``element_operators`` builds for ``mesh``, k
-    and j; the operators carry the cells and each its own P_j degree
-    ``op.j``, so ``mesh``, ``k`` and ``j`` are not read.  Pi_j lap u is
-    taken in the operator's orthonormal basis, so its coefficients are the
-    moments of lap u, formed against the Legendre products and mapped by
-    R^-T.  Both it and Lw u_h (``op.apply``) are formed a chunk of cells at
-    a time.
+    and j; the operators carry the cells and each its own P_j degree, so
+    ``mesh``, ``k`` and ``j`` are not read.  Pi_j lap u (``op.project``) and
+    Lw u_h (``op.apply``) are both in the operator's orthonormal basis psi,
+    so the norm on a cell is that of their coefficient difference; both are
+    formed a chunk of cells at a time.
     """
     total = 0.0
     for op in ops:
         per = np.empty(len(op.stack.cells))
-        # op.moments and op.apply bound their own gathers, so only R's is counted here.
-        for s, _, rows in _cell_chunks(op.stack, op.r[0].size):
-            moments = op.moments(exact.laplacian, dim_pk(op.j), s)
-            proj = from_legendre(op.r[rows], moments[..., None])[..., 0]
-            diff = proj - op.apply(u_h, s)
+        # Walked here too, so that neither term is held for the whole stack.
+        for s, _, _ in _cell_chunks(op.stack, op.matrix[0].size):
+            diff = op.project(exact.laplacian, s) - op.apply(u_h, s)
             per[s] = np.sum(diff * diff, axis=1)
         total += float(np.sum(per))
     return math.sqrt(total)
@@ -112,7 +99,7 @@ def error_2h(exact: ExactSolution, u_h: WeakFunction, mesh, k):
     (grad v0 - v_n n_e) . n = sigma u_hn - grad u_h0 . n.
     """
     total = 0.0
-    for stack in cell_stacks(mesh):
+    for stack in mesh.stacks:
         ref = stack.shapes[0]
         rule, vals = cell_tables(ref, k, 2 * k + 6)
         lap_h = vals @ legendre_laplacian(k) / (0.25 * ref.diameter[:, None, None] ** 2)
@@ -141,7 +128,7 @@ def error_l2(exact: ExactSolution, u_h: WeakFunction, mesh):
     """|| u - u0 ||_{L2} by cell quadrature."""
     k = u_h.k
     total = 0.0
-    for stack in cell_stacks(mesh):
+    for stack in mesh.stacks:
         rule, vals = cell_tables(stack.shapes[0], k, 2 * k + 6)
         per = np.empty(len(stack.cells))
         for s, _, rows in _cell_chunks(stack, vals[0].size):

@@ -22,9 +22,10 @@ Every per-cell loop, here and in ``system`` and ``errors``, walks a stack's
 cells a bounded chunk at a time with ``_cell_chunks``, which also gives the
 rows of the per-shape arrays (``CellStack.shape_rows``).
 A StackOperator keeps its cell rule and table: ``StackOperator.moments``
-gives the load of ``system`` and Pi_j lap u of ``errors`` under them, and
-``StackOperator.apply`` gives Lw v on a slice of the stack's cells, from
-the local DOF vectors of ``WeakFunction.local``, the one statement of the
+gives the load of ``system`` under them, ``StackOperator.project`` the
+projection Pi_j lap u of ``errors`` in the operator's basis, and
+``StackOperator.apply`` Lw v on a slice of the stack's cells, from the
+local DOF vectors of ``WeakFunction.local``, the one statement of the
 local layout.
 """
 
@@ -42,16 +43,8 @@ from .basis import (
     legendre_values,
     orthonormal_factor,
 )
-from .mesh import CellStack, _outward, cell_stacks
+from .mesh import CellStack, _outward
 from .quadrature import QuadratureRule, at_points, quad_cell, quad_edge
-
-
-def cell_rule_degree(j: int) -> int:
-    return 2 * j + 2
-
-
-def edge_rule_degree(k: int, j: int) -> int:
-    return k + j
 
 
 def cell_tables(stack: CellStack, degree: int, rule_degree: int):
@@ -81,7 +74,7 @@ def edge_tables(stack: CellStack, k: int, degree: int, rule_degree: int):
     return erule, chi, vals, gx
 
 
-def on_cells(f, stack: CellStack, rule, cells=slice(None)):
+def on_cells(f, stack: CellStack, rule, cells):
     """``f`` at the points of a rule on the stack's shapes, moved onto each
     of the given ``cells`` (a slice of the stack's rows) by the offset of
     its first vertex from its shape's, (nc, q)."""
@@ -197,15 +190,26 @@ class StackOperator:
             out[s] = (self.matrix[rows] @ v.local(self.stack, c)[..., None])[..., 0]
         return out
 
+    def project(self, f, cells=slice(None)) -> np.ndarray:
+        """Pi_j f, the L2 projection of ``f`` onto P_j(T), in the basis psi
+        on the given ``cells`` (a slice of the stack's rows, all by default),
+        (nc, dim P_j).  psi is orthonormal, so these are the moments of f
+        against psi: R^-T of those against V (``moments``), a chunk of cells
+        at a time."""
+        out = self.moments(f, dim_pk(self.j), cells)
+        for s, _, rows in _cell_chunks(self.stack, self.r[0].size, cells):
+            out[s] = from_legendre(self.r[rows], out[s, :, None])[..., 0]
+        return out
+
 
 def element_operators(mesh, k: int, j: int) -> list:
     """The weak-Laplacian operators of the mesh, one StackOperator per
-    vertex count (the stacks of ``cell_stacks``).
+    vertex count (``mesh.stacks``).
 
     Assembly and the |||.||| functionals take this list, so a solve and its
     error evaluation build each operator once.
     """
-    return [_stack_operator(stack, k, j) for stack in cell_stacks(mesh)]
+    return [_stack_operator(stack, k, j) for stack in mesh.stacks]
 
 
 def _stack_operator(stack, k, j):
@@ -217,7 +221,9 @@ def _stack_operator(stack, k, j):
     if j < k + 2:
         raise ValueError(f"lifting degree j={j} must be at least k+2={k + 2}")
     shapes = stack.shapes[0]
-    rule, vals = cell_tables(shapes, j, cell_rule_degree(j))
+    # The cell rule is exact to degree 2j+2: for the products V_i V_l that
+    # make psi orthonormal, and for the moments (f, V_i) of an f of degree j+2.
+    rule, vals = cell_tables(shapes, j, 2 * j + 2)
     vals *= np.sqrt(rule.weights)[..., None]
     r, ok = orthonormal_factor(vals)
     if not ok.all():
@@ -226,7 +232,9 @@ def _stack_operator(stack, k, j):
         )
     dk = dim_pk(k)
     # The products of degree k, which span v0, are the leading dk of degree j.
-    erule, chi, vj_e, gpsi_n = edge_tables(shapes, k, j, edge_rule_degree(k, j))
+    # The edge rule is exact to degree k+j, above that of every edge integral
+    # below: a P_{k-1}(e) function (chi or grad phi.n) times psi, k+j-1.
+    erule, chi, vj_e, gpsi_n = edge_tables(shapes, k, j, k + j)
 
     # Moments against the Legendre products of degree j, mapped to the
     # orthonormal basis psi by R^-T at the end.

@@ -18,13 +18,14 @@ import pytest
 import sfwg
 from sfwg.basis import dim_pk, legendre_values, monomial_exponents
 from sfwg.cli import main
-from sfwg.errors import ZERO, convergence_rates, error_2h
+from sfwg.errors import convergence_rates, error_2h
 from sfwg.mesh import build_polygonal, build_triangular
 from sfwg.quadrature import quad_cell
 from sfwg.study import StudyConfig, run_study
 from sfwg.system import assemble, build_dof_map, solve_biharmonic, weak_function_from_free
-from sfwg.weakop import cell_rule_degree, element_operators
+from sfwg.weakop import element_operators
 from test_mesh import cell_frames
+from test_system import ZERO
 from test_weakop import interpolate_qh, local_dofs, per_cell
 
 
@@ -169,7 +170,7 @@ def test_criterion_5_operator_exactness():
                         # own rule in the Legendre products V, mapped by the
                         # R of the cell's shape to the operator's orthonormal
                         # basis psi = V R^-1.
-                        rule = quad_cell(mesh.vertices[mesh.cells[cell]], cell_rule_degree(j))
+                        rule = quad_cell(mesh.vertices[mesh.cells[cell]], 2 * j + 2)
                         sw = np.sqrt(rule.weights)
                         vals = legendre_values(rule.points, op.stack.centroid[c],
                                                op.stack.diameter[c], j)

@@ -1,8 +1,8 @@
 """Every name a module of ``sfwg`` or a test module imports is used in it,
-every private function or class of ``sfwg`` is named somewhere in ``sfwg``,
-every public one in ``sfwg`` or the benchmark, and ``sfwg.__all__`` lists
-the package's public names.  ``__init__.py`` is left out of the first
-check: its imports are the package's public names."""
+every private function or class of ``sfwg`` is read somewhere in ``sfwg``,
+every public one and every public constant in ``sfwg`` or the benchmark,
+and ``sfwg.__all__`` lists the package's public names.  ``__init__.py`` is
+left out of the first check: its imports are the package's public names."""
 
 import ast
 import types
@@ -34,10 +34,11 @@ def test_every_import_is_used(path):
 
 
 def named(paths):
-    """Every name that the modules at ``paths`` use, by name or as an attribute."""
+    """Every name that the modules at ``paths`` read, by name or as an
+    attribute: an assignment to a name is not a use of it."""
     return {node.id if isinstance(node, ast.Name) else node.attr
             for p in paths for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
-            if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
 def defined(private):
@@ -47,6 +48,15 @@ def defined(private):
             for node in ast.parse(p.read_text(encoding="utf-8")).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and node.name.startswith("_") == private and not node.name.endswith("__")]
+
+
+def constants():
+    """The package's public module-level constants, as (module, name)."""
+    return [(p.stem, target.id) for p in SOURCES
+            for node in ast.parse(p.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and not target.id.startswith("_")]
 
 
 def test_every_private_helper_is_referenced():
@@ -62,6 +72,14 @@ def test_every_public_function_or_class_has_a_caller():
     # only the tests, and belongs with them.
     assert BENCHMARK
     used, public = named(SOURCES + BENCHMARK), defined(private=False)
+    assert public
+    assert [f"{stem}.{name}" for stem, name in public if name not in used] == []
+
+
+def test_every_public_constant_has_a_caller():
+    # The same for a public module-level constant: its own assignment does
+    # not count, so one that nothing reads belongs with the tests too.
+    used, public = named(SOURCES + BENCHMARK), constants()
     assert public
     assert [f"{stem}.{name}" for stem, name in public if name not in used] == []
 

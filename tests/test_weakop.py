@@ -17,7 +17,6 @@ from sfwg.mesh import build_polygonal, build_triangular, cell_stacks
 from sfwg.quadrature import quad_cell, quad_edge
 from sfwg.weakop import (
     WeakFunction,
-    cell_rule_degree,
     cell_tables,
     element_operators,
     on_cells,
@@ -76,9 +75,9 @@ def interpolate_qh(u, grad_u, mesh, k):
     v0 = np.empty((mesh.n_cells, dim_pk(k)))
     for stack in cell_stacks(mesh):
         ref, of = stack.shapes
-        rule, vals = cell_tables(ref, k, cell_rule_degree(k))
+        rule, vals = cell_tables(ref, k, 2 * k + 2)
         wvt = (rule.weights[..., None] * vals).swapaxes(-1, -2)
-        moments = per_cell(wvt, of, on_cells(u, stack, rule))
+        moments = per_cell(wvt, of, on_cells(u, stack, rule, slice(None)))
         v0[stack.cells] = np.linalg.solve((wvt @ vals)[of], moments[..., None])[..., 0]
     vb, vn = project_edge_data(mesh, np.arange(mesh.n_edges), k, u, grad_u)
     return WeakFunction(k=k, v0=v0, vb=vb, vn=vn)
@@ -343,6 +342,35 @@ def test_moments_match_a_finer_rule(make, extra, k):
                 assert np.abs(got[c] - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("make,extra", [(lambda: build_triangular(4), 2),
+                                        (lambda: build_polygonal(4), 4),
+                                        (lambda: perturbed(build_polygonal(4), seed=3), 4)],
+                         ids=["tri", "poly", "perturbed"])
+def test_project_is_the_l2_projection_onto_pj(make, extra, k):
+    # StackOperator.project is R^-T of the moments against the Legendre
+    # products, bit for bit, and it reproduces a polynomial of degree j: its
+    # coefficients in psi = V R^-1, expanded at the cell's rule points, give
+    # the polynomial back.
+    mesh, j = make(), k + extra
+    ea, eb = monomial_exponents(j)
+    coef = np.random.default_rng(k).standard_normal(len(ea))
+
+    def p(x):
+        return (x[:, :1] ** ea * x[:, 1:] ** eb) @ coef
+
+    for op in element_operators(mesh, k, j):
+        ref, of = op.stack.shapes
+        got = op.project(p)
+        want = from_legendre(op.r[of], op.moments(p, dim_pk(op.j))[..., None])[..., 0]
+        assert np.array_equal(got, want)
+        points = op.stack.polygons[:, :1] - ref.polygons[of, :1] + op.rule.points[of]
+        vals = legendre_values(points, op.stack.centroid, op.stack.diameter, op.j)
+        expanded = (vals @ np.linalg.solve(op.r[of], got[..., None]))[..., 0]
+        exact = on_cells(p, op.stack, op.rule, slice(None))
+        assert np.abs(expanded - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
 @pytest.mark.parametrize("kind", [
     lambda x: x > 0, lambda x: np.rint(100 * x).astype(np.int32), lambda x: x],
     ids=["bool", "int32", "float"])
@@ -374,10 +402,10 @@ def test_flat_of_repeats_values_over_their_blocks(mesh, k, kind):
                                         (lambda: perturbed(build_polygonal(4), seed=3), 4)],
                          ids=["tri", "perturbed"])
 def test_slices_of_a_stack_match_the_whole_stack(make, extra, k, monkeypatch):
-    # WeakFunction.local, StackOperator.moments and StackOperator.apply on a
+    # WeakFunction.local and StackOperator.moments, project and apply on a
     # slice of a stack's cells give that slice of the whole stack's result,
     # bit for bit, also when the slice is taken in chunks of two cells.  The
-    # last two take slices of step 1 only, and name any other slice.
+    # last three take slices of step 1 only, and name any other slice.
     mesh = make()
     size = mesh.n_cells * dim_pk(k) + 2 * mesh.n_edges * k
     v = WeakFunction.from_flat(k, mesh.n_cells, np.random.default_rng(k).standard_normal(size))
@@ -388,18 +416,23 @@ def test_slices_of_a_stack_match_the_whole_stack(make, extra, k, monkeypatch):
     for op in element_operators(mesh, k, k + extra):
         m, nc = dim_pk(op.j), len(op.stack.cells)
         whole_local, whole_moments, whole_apply = v.local(op.stack), op.moments(f, m), op.apply(v)
+        whole_project = op.project(f)
         assert np.array_equal(whole_local, local(v, mesh, op))
         assert np.array_equal(whole_apply, per_cell(op.matrix, op.stack.shapes[1], whole_local))
         for s in [slice(0, 1), slice(1, nc - 1), slice(nc - 3, None), slice(2, 2)]:
             monkeypatch.setattr(weakop, "CHUNK", 2 * op.table[0].size)
             assert np.array_equal(v.local(op.stack, s), whole_local[s])
             assert np.array_equal(op.moments(f, m, s), whole_moments[s])
+            monkeypatch.setattr(weakop, "CHUNK", 2 * op.r[0].size)
+            assert np.array_equal(op.project(f, s), whole_project[s])
             monkeypatch.setattr(weakop, "CHUNK", 2 * op.matrix[0].size)
             assert np.array_equal(op.apply(v, s), whole_apply[s])
         monkeypatch.undo()
         for s in [slice(0, 10, 2), slice(None, None, -1)]:
             with pytest.raises(ValueError, match=re.escape(str(s))):
                 op.moments(f, m, s)
+            with pytest.raises(ValueError, match=re.escape(str(s))):
+                op.project(f, s)
             with pytest.raises(ValueError, match=re.escape(str(s))):
                 op.apply(v, s)
 
