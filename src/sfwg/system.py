@@ -2,8 +2,8 @@
 
 Numbering: the free DOFs are numbered in a nested-dissection order of the
 cells (George 1973; Lipton, Rose and Tarjan 1979; ``_dissection_ranks``),
-so ``assemble`` builds A in a fill-reducing order and ``solve`` factors it
-as given.  v0 couples only to its own cell's edges, so the edges cut
+so ``assemble`` builds the skeleton in a fill-reducing order and ``solve``
+factors it as given.  v0 couples only to its own cell's edges, so the edges cut
 between two groups of cells separate them exactly; each cut edge comes
 after both groups, and each cell's v0 before its edges.  The ranks are
 spread over the DOFs of the flat layout by ``WeakFunction.flat_of`` and
@@ -16,19 +16,30 @@ is read from the operators (``op.moments``).  Free positions are int32,
 the index type of the sparse matrices, so they are A's column indices as
 they stand.
 
-Solve: A factored as assembled, diagonal pivots, narrow SuperLU panels,
-refinement to ``tol``.
-Diagonal pivots make a diagonal scaling of A inert, so none is applied.
+Condensation: v0 couples only to its own cell's edges and is never
+constrained, so ``assemble`` eliminates it cell by cell (static
+condensation) and writes only the skeleton matrix over the free v_b/v_n
+DOFs, in the same order with v0 left out.  The full reduced stiffness A is
+built only when ``LinearSystem.A`` is read.
+
+Solve: the skeleton factored as assembled, diagonal pivots, narrow SuperLU
+panels, v0 recovered per cell, then refinement against the element residual
+load - sum_T B^T (B z_T), which carries no rounding of the assembled
+entries.  On the studies' levels the first correction moves x by 1e-13 to
+1e-8 of its size, the second by about 1e-14 and the third no less, which
+stops it.  Diagonal pivots make a diagonal scaling inert, so none is applied.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .basis import dim_pk
-from .weakop import WeakFunction, _cell_chunks, _chunks, project_edge_data
+from .mesh import Mesh
+from .weakop import WeakFunction, _cell_chunks, project_edge_data
 
 
 # SuperLU's panel width.  Its dense panel workspace, about m x PANEL_SIZE x
@@ -169,126 +180,279 @@ def _dissection_ranks(mesh):
 
 @dataclass
 class LinearSystem:
-    """Reduced sparse system over free DOFs; boundary data already in b.
+    """The reduced system over the free DOFs, condensed onto the skeleton.
 
-    ``A`` is exactly symmetric, as ``assemble`` builds it, and ``solve``
-    relies on that.
+    ``skeleton`` is the matrix of the free v_b/v_n DOFs once every cell's v0
+    is eliminated, in their order among the free DOFs (``skeleton_pos``
+    numbers them over the flat layout, -1 elsewhere); it is exactly
+    symmetric, as ``assemble`` builds it, and ``solve`` relies on that.
+    ``factors`` holds, per operator and per shape, R^-1 and W = K_00^-1 K_0e,
+    where K_00 = R^T R.  ``load`` is (f, v0) on the free DOFs, ``b`` the same
+    less the constrained columns, and ``anorm`` bounds ||A||_1 by the row
+    sums of every cell's |K| over its free columns.  ``A``, the full reduced
+    stiffness, is built only when it is read.
     """
 
-    A: sp.csr_matrix
+    mesh: Mesh
+    dofmap: DofMap
+    ops: list
+    skeleton: sp.csr_matrix
+    skeleton_pos: np.ndarray
+    factors: tuple
+    load: np.ndarray
     b: np.ndarray
+    anorm: float
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        """The stiffness (Lw., Lw.) over the free DOFs, exactly symmetric."""
+        blocks = [op.matrix.swapaxes(-1, -2) @ op.matrix for op in self.ops]
+        return _write_csr(self.mesh, self.dofmap.constrained.k, self.dofmap.pos, self.ops, blocks)
 
 
-def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
-    """Stiffness (Lw., Lw.) and load (f, v0) over free DOFs.
+def _write_csr(mesh, k, pos, ops, blocks):
+    """The matrix that sums, over the cells, the per-shape ``blocks`` of each
+    operator over the DOFs that ``pos`` numbers (the flat layout, -1 where a
+    DOF is left out).  A block covers the trailing local DOFs of a cell: all
+    of them, or its edge DOFs alone.
 
-    ``ops`` is the list that ``element_operators`` builds for ``mesh``, k
-    and j; the load is integrated under each operator's own cell rule, and
-    ``j`` is not read.  The local stiffness is formed once per shape and
-    gathered per cell a chunk at a time.  Row r of A holds the free columns
-    of the cells that have DOF r: its cell for v0, the two cells of its
-    edge for v_b and v_n, the lower first.  So each row's length is known in
-    advance, the blocks go straight into A's CSR arrays, and no entry sums
-    more than two terms, in either order: A is bit-reproducible.
+    Row r holds the numbered columns of the cells that have DOF r: its cell
+    for v0, the two cells of its edge for v_b and v_n, the lower first.  So
+    each row's length is known in advance, the blocks go straight into the
+    CSR arrays, a chunk of cells at a time, and no entry sums more than two
+    terms, in either order: the matrix is bit-reproducible, and exactly
+    symmetric when the blocks are.
     """
-    n, dk = dofmap.n_free, dim_pk(k)
-    positions = WeakFunction.from_flat(k, mesh.n_cells, dofmap.pos)
-    idxs = [positions.local(op.stack) for op in ops]   # (nc, nloc), -1 if constrained
-    width = np.zeros(mesh.n_cells, dtype=np.intp)      # free DOFs of each cell
+    n = int(np.count_nonzero(pos >= 0))
+    positions = WeakFunction.from_flat(k, mesh.n_cells, pos)
+    idxs = [positions.local(op.stack)[:, -block.shape[-1]:] for op, block in zip(ops, blocks)]
+    width = np.zeros(mesh.n_cells, dtype=np.intp)      # numbered DOFs of each cell
     for op, idx in zip(ops, idxs):
         width[op.stack.cells] = np.count_nonzero(idx >= 0, axis=1)
     # A boundary edge's DOFs are constrained, so its missing cell is not read.
     length = WeakFunction.flat_of(k, width, width[mesh.edge_cells].sum(axis=1))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1 + dofmap.pos[dofmap.pos >= 0]] = length[dofmap.pos >= 0]
-    np.cumsum(indptr, out=indptr)  # A's index type now: a cast at the end would pin the heap
+    indptr[1 + pos[pos >= 0]] = length[pos >= 0]
+    np.cumsum(indptr, out=indptr)  # the index type now: a cast at the end would pin the heap
     indptr = indptr.astype(np.int32 if indptr[-1] < 2**31 else np.int64)
-    cols, vals, b = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1]), np.zeros(n)
-    for op, idx in zip(ops, idxs):
+    cols, vals = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    for op, idx, block in zip(ops, idxs, blocks):
         stack = op.stack
         free = idx >= 0
         lo, hi = mesh.edge_cells[stack.edges].transpose(2, 0, 1)
         after = np.where(hi == stack.cells[:, None], width[lo], 0)  # the higher cell's offset
         start = indptr[idx]
-        start[:, dk:] += np.repeat(after, 2 * k, axis=1)
-        column = np.cumsum(free, axis=1) - 1             # place among the cell's free DOFs
-        kshape = op.matrix.swapaxes(-1, -2) @ op.matrix  # (S, nloc, nloc)
-        # Load (f, phi_i)_T on the v0 block, less the constrained columns,
-        # which only cells with a constrained DOF have.
-        rhs = np.zeros(idx.shape)
-        for s, _, rows in _cell_chunks(stack, kshape[0].size):
-            ke, pair = kshape[rows], free[s, :, None] & free[s, None, :]
+        start[:, -2 * k * stack.edges.shape[1]:] += np.repeat(after, 2 * k, axis=1)
+        column = np.cumsum(free, axis=1, dtype=np.int32) - 1  # place among the cell's numbered DOFs
+        for s, _, rows in _cell_chunks(stack, block[0].size):
+            ke, pair = block[rows], free[s, :, None] & free[s, None, :]
             at = (start[s, :, None] + column[s, None, :])[pair]
             cols[at] = np.broadcast_to(idx[s, None, :], ke.shape)[pair]
             vals[at] = ke[pair]
+    matrix = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
+    matrix.sum_duplicates()
+    return matrix
+
+
+def _condense(op, dk):
+    """Static condensation of each shape's K = B^T B, B = ``op.matrix``,
+    onto its edge DOFs.  With B = [B_0 B_e] and B_0 = Q R, K_00 = R^T R and
+    the Schur complement K_ee - K_e0 K_00^-1 K_0e is P^T P, P = B_e - Q Q^T B_e,
+    made exactly symmetric.  Returns ((R^-1, W = K_00^-1 K_0e), P^T P), each
+    per shape; ``SolverError`` if a K_00 is not positive definite.
+    """
+    b0, be = op.matrix[..., :dk], op.matrix[..., dk:]
+    q, r = np.linalg.qr(b0)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    ok = np.isfinite(r).all(axis=(-2, -1)) & (diag.min(axis=-1) > 1e-13 * diag.max(axis=-1))
+    if not ok.all():
+        cell = op.stack.shapes[0].cells[~ok].min()
+        raise SolverError(f"v0 block of cell {cell} is not positive definite")
+    c = q.swapaxes(-1, -2) @ be
+    p = be - q @ c
+    s = p.swapaxes(-1, -2) @ p
+    rinv = np.linalg.inv(r)
+    return (rinv, rinv @ c), 0.5 * (s + s.swapaxes(-1, -2))
+
+
+def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
+    """The skeleton matrix of the stiffness (Lw., Lw.), the load (f, v0) and
+    what recovering v0 and refining need, over the free DOFs.
+
+    ``ops`` is the list that ``element_operators`` builds for ``mesh``, k
+    and j; the load is integrated under each operator's own cell rule, and
+    ``j`` is not read.  Each shape's local stiffness is condensed onto its
+    edge DOFs once (``_condense``), and the blocks are gathered per cell, a
+    chunk at a time, straight into the skeleton's CSR arrays
+    (``_write_csr``).  The constrained columns of K, which only cells with a
+    constrained DOF have, move to ``b``.
+    """
+    n, dk = dofmap.n_free, dim_pk(k)
+    positions = WeakFunction.from_flat(k, mesh.n_cells, dofmap.pos)
+    # The skeleton DOFs are the free ones off v0, numbered in their free order.
+    on_skeleton = dofmap.pos >= 0
+    on_skeleton &= WeakFunction.flat_of(k, np.zeros(mesh.n_cells, dtype=bool),
+                                        np.ones(mesh.n_edges, dtype=bool))
+    rank = np.zeros(n, dtype=np.int32)
+    rank[dofmap.pos[on_skeleton]] = 1
+    skeleton_pos = np.full(len(dofmap.pos), -1, dtype=np.int32)
+    skeleton_pos[on_skeleton] = (np.cumsum(rank, dtype=np.int32) - 1)[dofmap.pos[on_skeleton]]
+
+    factors, blocks = zip(*[_condense(op, dk) for op in ops])
+    skeleton = _write_csr(mesh, k, skeleton_pos, ops, blocks)
+    load, b, rowsum = np.zeros(n), np.zeros(n), np.zeros(n)
+    for op in ops:
+        stack = op.stack
+        idx = positions.local(stack)                   # (nc, nloc), -1 if constrained
+        free = idx >= 0
+        kshape = op.matrix.swapaxes(-1, -2) @ op.matrix  # (S, nloc, nloc)
+        kabs = np.abs(kshape)
+        krow = kabs.sum(axis=-1)
+        rhs, absrow = np.zeros(idx.shape), np.empty(idx.shape)
+        for s, _, rows in _cell_chunks(stack, kshape[0].size):
+            absrow[s] = krow[rows]
             boundary = ~free[s].all(axis=1)
+            at = np.arange(len(kshape))[rows][boundary]
             g = dofmap.constrained.local(stack, s)[boundary]
-            rhs[s][boundary] = -(ke[boundary] @ g[..., None])[..., 0]
-        rhs[:, :dk] += op.moments(f, dk)
+            rhs[s][boundary] = -(kshape[at] @ g[..., None])[..., 0]
+            absrow[s][boundary] = (kabs[at] @ free[s][boundary, :, None].astype(float))[..., 0]
+        moments = op.moments(f, dk)
+        load[idx[:, :dk]] = moments                     # v0 is never constrained
+        rhs[:, :dk] += moments
         # No sum of b depends on the order in which the stacks add to it.
         b += np.bincount(idx[free], weights=rhs[free], minlength=n)
+        rowsum += np.bincount(idx[free], weights=absrow[free], minlength=n)
+    return LinearSystem(mesh=mesh, dofmap=dofmap, ops=ops, skeleton=skeleton,
+                        skeleton_pos=skeleton_pos, factors=factors, load=load, b=b,
+                        anorm=float(rowsum.max(initial=0.0)))
 
-    A = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
-    A.sum_duplicates()
-    return LinearSystem(A=A, b=b)
+
+def _per_shape(mats, rows, v):
+    """mats[rows] @ v per cell, (nc, m), for per-shape ``mats`` (S, m, p),
+    the rows of a chunk's cells (``CellStack.shape_rows``) and ``v``
+    (nc, p): one batched product of views where each cell is its own shape,
+    else one broadcast product per shape, so that no copy of ``mats`` is
+    gathered per cell.  Either way each cell's product is its own, so the
+    chunks do not change its bits."""
+    if isinstance(rows, slice):
+        return (mats[rows] @ v[..., None])[..., 0]
+    out = np.empty((len(v), mats.shape[1]))
+    for s in np.unique(rows):
+        at = rows == s
+        out[at] = (mats[s] @ v[at][..., None])[..., 0]
+    return out
 
 
-def backward_error(system: LinearSystem, x) -> float:
-    """Normwise backward error ||Ax - b|| / (||A|| ||x|| + ||b||).
+def _residual(system: LinearSystem, x) -> np.ndarray:
+    """The element residual load - sum_T B^T (B z_T) over the free DOFs,
+    with z_T cell T's local vector of x, the constrained values filled in,
+    a chunk of cells at a time.  A product per cell errs by about
+    eps |B|^T |B z|, where b - A x errs by about eps |B|^T |B| |z|, larger by
+    a factor that grows like h^-2 for a smooth solution.  No DOF has more
+    than two cells, so the sum does not depend on the chunks."""
+    k, n_cells = system.dofmap.constrained.k, system.mesh.n_cells
+    positions = WeakFunction.from_flat(k, n_cells, system.dofmap.pos)
+    kx = np.zeros(len(x))
+    for op in system.ops:
+        bt = op.matrix.swapaxes(-1, -2)
+        for _, c, rows in _cell_chunks(op.stack, op.matrix[0].size):
+            idx, z = positions.local(op.stack, c), system.dofmap.constrained.local(op.stack, c)
+            free = idx >= 0
+            z[free] = x[idx[free]]
+            kz = _per_shape(bt, rows, _per_shape(op.matrix, rows, z))
+            kx += np.bincount(idx[free], weights=kz[free], minlength=len(kx))
+    return np.subtract(system.load, kx, out=kx)
 
-    ||A|| is the 1-norm, taken as the largest row sum of |A|, which it is
-    for the symmetric A of ``assemble``, over a chunk of rows at a time.
-    """
-    A, anorm = system.A, 0.0
-    r = float(np.linalg.norm(A @ x - system.b))
-    for s in _chunks(A.shape[0], int(np.diff(A.indptr).max(initial=1))):
-        ptr = A.indptr[s.start:s.stop + 1]
-        rows = sp.csr_matrix((np.abs(A.data[ptr[0]:ptr[-1]]), A.indices[ptr[0]:ptr[-1]],
-                              ptr - ptr[0]), shape=(len(ptr) - 1, A.shape[1]))
-        anorm = max(anorm, float((rows @ np.ones(A.shape[1])).max()))
-    return r / (anorm * float(np.linalg.norm(x)) + float(np.linalg.norm(system.b)))
+
+def _condensed_solve(system: LinearSystem, lu, r) -> np.ndarray:
+    """A^-1 r through the condensed factors: the skeleton solve of
+    r_e - sum_T W^T r_0, then per cell v0 = K_00^-1 r_0 - W x_e, with x_e
+    zero at the constrained DOFs."""
+    k, n_cells = system.dofmap.constrained.k, system.mesh.n_cells
+    dk = dim_pk(k)
+    positions = WeakFunction.from_flat(k, n_cells, system.dofmap.pos)
+    numbers = WeakFunction.from_flat(k, n_cells, system.skeleton_pos)
+    on_skeleton = np.sort(system.dofmap.pos[system.skeleton_pos >= 0])
+    wr = np.zeros(len(on_skeleton))
+    for op, (_, w) in zip(system.ops, system.factors):
+        for _, c, rows in _cell_chunks(op.stack, w[0].size):
+            at = numbers.local(op.stack, c)[:, dk:]
+            t = _per_shape(w.swapaxes(-1, -2), rows, r[positions.local(op.stack, c)[:, :dk]])
+            wr += np.bincount(at[at >= 0], weights=t[at >= 0], minlength=len(wr))
+    xs = lu.solve(r[on_skeleton] - wr)
+    x = np.empty(len(r))
+    x[on_skeleton] = xs
+    for op, (rinv, w) in zip(system.ops, system.factors):
+        for _, c, rows in _cell_chunks(op.stack, w[0].size):
+            at, v0 = numbers.local(op.stack, c)[:, dk:], positions.local(op.stack, c)[:, :dk]
+            xe = np.zeros(at.shape)
+            xe[at >= 0] = xs[at[at >= 0]]
+            y = _per_shape(rinv.swapaxes(-1, -2), rows, r[v0])
+            x[v0] = _per_shape(rinv, rows, y) - _per_shape(w, rows, xe)
+    return x
+
+
+def _backward_error(system: LinearSystem, x, r) -> float:
+    """Normwise backward error ||r|| / (||A|| ||x|| + ||b||) of ``x``, with r
+    its element residual (``_residual``) and ||A||_1 bounded by
+    ``system.anorm``."""
+    return float(np.linalg.norm(r)) / (system.anorm * float(np.linalg.norm(x))
+                                       + float(np.linalg.norm(system.b)))
 
 
 def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
     """Solve the reduced SPD system to a normwise backward error of ``tol``.
 
-    A is factored as assembled, with diagonal pivots only, and refined to
-    ``tol``.  No scaling is needed: with diagonal pivots, eliminating D A D
-    gives A's factors scaled by D, exactly when D holds powers of two.
-    SuperLU is handed A's own arrays as CSC arrays, so A must be exactly
-    symmetric, as ``assemble`` builds it; any other A is factored as its
-    transpose, which only the refinement, measured against A, catches.
-    The factorization keeps the given order, the nested dissection of
-    ``build_dof_map``, so a hand-built ``LinearSystem`` gets no
-    fill-reducing order.  It uses panels of ``PANEL_SIZE`` columns, so the
-    panel workspace that lives beside the factors until ``splu`` returns
-    stays a small part of the solve's peak.  The biharmonic stiffness is
-    too ill conditioned to trust one factor-solve, and a residual measured
-    against ||b|| alone has a floor of eps ||A|| ||x|| / ||b||, which grows
-    like h^-4.
-    ``SolverError`` is raised if the factorization fails or ten refinement
-    steps do not meet ``tol`` (a NaN included).
-    """
-    A = system.A
-    if float(np.linalg.norm(system.b)) == 0.0:
-        return np.zeros(A.shape[0])
+    The skeleton is factored as assembled, with diagonal pivots only, and
+    each cell's v0 recovered from it (``_condensed_solve``).  No scaling is
+    needed: with diagonal pivots, eliminating D S D gives S's factors scaled
+    by D, exactly when D holds powers of two.  SuperLU is handed the
+    skeleton's own arrays as CSC arrays, so it must be exactly symmetric,
+    as ``assemble`` builds it; any other is factored as its transpose, which
+    only the refinement catches.  The factorization keeps the given order,
+    the nested dissection of ``build_dof_map`` with the v0 DOFs left out,
+    and uses panels of ``PANEL_SIZE`` columns, so the panel workspace that
+    lives beside the factors until ``splu`` returns stays a small part of
+    the solve's peak.
 
-    A.sum_duplicates()                     # splu would sort the shared indices
-    if np.any(A.diagonal() <= 0.0):
+    The solution is then refined against the element residual
+    (``_residual``), each correction through the condensed factors.  The
+    biharmonic stiffness is too ill conditioned to trust one factor-solve,
+    and a residual b - A x formed from the assembled A has a floor that
+    grows like h^-2 relative to the element residual's.  Refinement stops
+    when a correction no longer halves the one before (the first is the
+    solve itself) or falls to roundoff of x, after at most ten steps; on
+    the studies' levels the second correction stops it.  ``SolverError`` is
+    raised if the factorization fails or the backward error (``_backward_error``)
+    then misses ``tol`` (a NaN included).
+    """
+    if float(np.linalg.norm(system.b)) == 0.0:
+        return np.zeros(len(system.b))
+
+    S = system.skeleton
+    S.sum_duplicates()                     # splu would sort the shared indices
+    if np.any(S.diagonal() <= 0.0):
         raise SolverError("non-positive diagonal entry; matrix not SPD")
     try:
-        lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+        lu = spla.splu(sp.csc_matrix((S.data, S.indices, S.indptr), shape=S.shape),
                        permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
-    x = lu.solve(system.b)
-    for step in range(11):                 # the solve, then up to ten refinements
-        if step:
-            x += lu.solve(system.b - A @ x)
-        err = backward_error(system, x)
-        if err <= tol:
-            return x
+    x = _condensed_solve(system, lu, system.b)
+    last = float(np.linalg.norm(x))
+    r = _residual(system, x)
+    for _ in range(10):
+        dx = _condensed_solve(system, lu, r)
+        size = float(np.linalg.norm(dx))
+        if not size <= 0.5 * last or size <= np.finfo(float).eps * float(np.linalg.norm(x)):
+            break
+        x += dx
+        last = size
+        r = _residual(system, x)
+    err = _backward_error(system, x, r)
+    if err <= tol:
+        return x
     raise SolverError(f"backward error {err:.3e} exceeds tolerance {tol:.3e}")
 
 

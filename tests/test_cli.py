@@ -4,7 +4,6 @@ import re
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import sfwg.cli
 import sfwg.study
@@ -21,7 +20,8 @@ from sfwg.study import (
     write_report,
 )
 from sfwg.solutions import builtin_solution
-from sfwg.system import LinearSystem, SolverError, solve
+from sfwg.system import SolverError, assemble, build_dof_map, solve
+from sfwg.weakop import element_operators
 from test_mesh import DOUBLY_WOUND
 from test_quadrature import monomial_integral
 
@@ -420,6 +420,12 @@ def test_api_rejects_bad_inputs():
         write_report(ConvergenceReport(), "html", io.StringIO())
     with pytest.raises(ValueError, match=r"^unknown built-in solution id 3 \(expected 1 or 2\)$"):
         builtin_solution(3)
-    singular = LinearSystem(A=sp.csr_matrix(np.diag([1.0, 0.0])), b=np.ones(2))
+    # An element-built system whose operators give one v_n slot of every
+    # edge no column: its skeleton diagonal entries are zero.
+    mesh = sfwg.build_triangular(1)
+    ops = element_operators(mesh, 2, 4)
+    for op in ops:
+        op.matrix[..., 6 + 3::4] = 0.0
+    singular = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), build_dof_map(mesh, 2), ops=ops)
     with pytest.raises(SolverError, match="^non-positive diagonal entry; matrix not SPD$"):
         solve(singular)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -20,10 +21,10 @@ from sfwg.quadrature import quad_cell
 from sfwg.system import (
     PANEL_SIZE,
     DofMap,
-    LinearSystem,
     SolverError,
+    _backward_error,
+    _residual,
     assemble,
-    backward_error,
     build_dof_map,
     solve,
     solve_biharmonic,
@@ -257,8 +258,9 @@ def test_solve_does_not_load_scipy_special():
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the resident size from /proc")
 def test_solve_grows_the_process_by_little_more_than_its_factors():
     # SuperLU's panel workspace, m x panel x 16 bytes, lives beside the
-    # finished factors until splu returns.  With PANEL_SIZE columns the
-    # process grows over the solve by at most 1.15 x the factors at 12 bytes
+    # finished factors until splu returns, and the refinement's chunks after
+    # it.  With PANEL_SIZE columns the process grows over the solve by at
+    # most 1.15 x the skeleton's factors at 12 bytes
     # an entry; scipy's default panel of 20 grows it by 1.3 x and more.  A
     # fresh interpreter, warmed by a tiny solve, so that the peak since the
     # resident size is read is the solve's own.  The peak is VmHWM, its own
@@ -284,8 +286,8 @@ def test_solve_grows_the_process_by_little_more_than_its_factors():
         "with open('/proc/self/status') as status:\n"
         "    hwm = next(line for line in status if line.startswith('VmHWM:'))\n"
         "grown = int(hwm.split()[1]) * 1024 - before\n"
-        "A = system.A\n"
-        "lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),\n"
+        "S = system.skeleton\n"
+        "lu = spla.splu(sp.csc_matrix((S.data, S.indices, S.indptr), shape=S.shape),\n"
         "               permc_spec='NATURAL', diag_pivot_thresh=0.0,\n"
         "               panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))\n"
         "print(grown / (12 * (lu.L.nnz + lu.U.nnz)))\n"
@@ -440,7 +442,7 @@ def test_solve_meets_backward_error_tolerance():
     system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm,
                       ops=element_operators(mesh, 2, 4))
     x = solve(system, tol=1e-12)
-    assert backward_error(system, x) <= 1e-12
+    assert _backward_error(system, x, _residual(system, x)) <= 1e-12
 
 
 def test_solve_raises_on_unreachable_tolerance():
@@ -464,25 +466,31 @@ def test_solve_raises_on_nan_source():
 
 
 def test_solve_raises_on_singular_psd_matrix():
-    system = LinearSystem(A=sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])),
-                          b=np.array([1.0, 2.0]))
+    # An element-built system whose skeleton is singular, positive
+    # semidefinite and has a positive diagonal: the factorization fails.
+    mesh = build_triangular(1)
+    dm = build_dof_map(mesh, 2)
+    system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm, ops=element_operators(mesh, 2, 4))
+    n = system.skeleton.shape[0]
+    singular = dataclasses.replace(system, skeleton=sp.csr_matrix(np.ones((n, n))))
     with pytest.raises(SolverError, match="factorization failed"):
-        solve(system)
+        solve(singular)
 
 
 def test_solve_takes_csr_with_unsorted_indices():
-    # The factored matrix shares A's arrays, and splu sorts the indices of
-    # what it is given in place; A must come out unchanged.
+    # The factored matrix shares the skeleton's arrays, and splu sorts the
+    # indices of what it is given in place; the skeleton must come out
+    # unchanged.
     mesh = build_triangular(4)
     dm = build_dof_map(mesh, 2)
     system = assemble(mesh, 2, 4, lambda p: np.ones(len(p)), dm,
                       ops=element_operators(mesh, 2, 4))
-    A = system.A
-    rev = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(A.indptr[:-1], A.indptr[1:])])
-    unsorted = sp.csr_matrix((A.data[rev], A.indices[rev], A.indptr.copy()), shape=A.shape)
+    S = system.skeleton
+    rev = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(S.indptr[:-1], S.indptr[1:])])
+    unsorted = sp.csr_matrix((S.data[rev], S.indices[rev], S.indptr.copy()), shape=S.shape)
     assert not unsorted.has_sorted_indices
-    x = solve(LinearSystem(A=unsorted, b=system.b))
-    assert (unsorted != A).nnz == 0
+    x = solve(dataclasses.replace(system, skeleton=unsorted))
+    assert (unsorted != S).nnz == 0
     assert np.array_equal(x, solve(system))
 
 
@@ -548,25 +556,100 @@ def reference_assemble(mesh, k, f, dm, ops):
         np.add.at(b, idx[free], rhs[free])
     A = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n)).tocsr()
-    return LinearSystem(A=A, b=b)
+    return A, b
+
+
+def _shape_products(op, mats, v):
+    """mats[shape of c] @ v[c] for every cell c of the operator's stack, as
+    ``solve`` forms them: batched where each cell is its own shape, else
+    one product per shape."""
+    ref, of = op.stack.shapes
+    if len(ref.cells) == len(of):
+        return (mats @ v[..., None])[..., 0]
+    out = np.empty((len(v), mats.shape[1]))
+    for s in np.unique(of):
+        out[of == s] = (mats[s] @ v[of == s][..., None])[..., 0]
+    return out
+
+
+def reference_residual(system, x):
+    """load - sum_T B^T (B z_T), all cells of a stack at once, by np.add.at."""
+    mesh, dm = system.mesh, system.dofmap
+    full = weak_function_from_free(dm, x).flat()
+    kx = np.zeros(len(x))
+    for op in system.ops:
+        loc = local_dofs(mesh, op.stack, dm.constrained.k)
+        idx = dm.pos[loc]
+        kz = _shape_products(op, op.matrix.swapaxes(-1, -2),
+                             _shape_products(op, op.matrix, full[loc]))
+        np.add.at(kx, idx[idx >= 0], kz[idx >= 0])
+    return system.load - kx
 
 
 def reference_backward_error(system, x):
-    r = float(np.linalg.norm(system.A @ x - system.b))
-    anorm = float(abs(system.A).sum(axis=0).max())
-    return r / (anorm * float(np.linalg.norm(x)) + float(np.linalg.norm(system.b)))
+    """||r|| / (||A||_1 ||x|| + ||b||), ||A||_1 bounded by the row sums of
+    every cell's |K| over its free columns."""
+    mesh, dm = system.mesh, system.dofmap
+    rowsum = np.zeros(len(x))
+    for op in system.ops:
+        idx = dm.pos[local_dofs(mesh, op.stack, dm.constrained.k)]
+        kabs = np.abs(op.matrix.swapaxes(-1, -2) @ op.matrix)
+        rows = kabs.sum(axis=-1)[op.stack.shapes[1]]
+        cut = ~(idx >= 0).all(axis=1)        # cells with a constrained DOF
+        rows[cut] = (kabs[op.stack.shapes[1][cut]]
+                     @ (idx[cut] >= 0)[..., None].astype(float))[..., 0]
+        np.add.at(rowsum, idx[idx >= 0], rows[idx >= 0])
+    r = float(np.linalg.norm(reference_residual(system, x)))
+    return r / (rowsum.max() * float(np.linalg.norm(x)) + float(np.linalg.norm(system.b)))
 
 
 def reference_solve(system, tol=1e-12):
-    a = system.A.tocsc(copy=True)
-    lu = spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                   panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
-    x = np.zeros(a.shape[0])
-    for _ in range(11):
-        x = x + lu.solve(system.b - a @ x)
-        if reference_backward_error(system, x) <= tol:
-            return x
-    raise AssertionError("reference refinement did not converge")
+    """The condensed solve, from a CSC copy of the skeleton and each
+    shape's own QR of its v0 columns, refined against the reference
+    residual until a correction no longer halves the one before or falls to
+    roundoff of x."""
+    mesh, dm = system.mesh, system.dofmap
+    k = dm.constrained.k
+    dk = dim_pk(k)
+    lu = spla.splu(system.skeleton.tocsc(copy=True), permc_spec="NATURAL",
+                   diag_pivot_thresh=0.0, panel_size=PANEL_SIZE,
+                   options=dict(SymmetricMode=True))
+    spos = system.skeleton_pos
+    skeleton = np.sort(dm.pos[spos >= 0])
+    parts = []
+    for op in system.ops:
+        q, rr = np.linalg.qr(op.matrix[..., :dk])
+        rinv = np.linalg.inv(rr)
+        w = rinv @ (q.swapaxes(-1, -2) @ op.matrix[..., dk:])
+        loc = local_dofs(mesh, op.stack, k)
+        parts.append((op, rinv, w, dm.pos[loc[:, :dk]], spos[loc[:, dk:]]))
+
+    def condensed(r):
+        wr = np.zeros(len(skeleton))
+        for op, rinv, w, v0, at in parts:
+            t = _shape_products(op, w.swapaxes(-1, -2), r[v0])
+            np.add.at(wr, at[at >= 0], t[at >= 0])
+        xs = lu.solve(r[skeleton] - wr)
+        x = np.empty(len(r))
+        x[skeleton] = xs
+        for op, rinv, w, v0, at in parts:
+            xe = np.where(at >= 0, xs[np.maximum(at, 0)], 0.0)
+            y = _shape_products(op, rinv.swapaxes(-1, -2), r[v0])
+            x[v0] = _shape_products(op, rinv, y) - _shape_products(op, w, xe)
+        return x
+
+    x = condensed(system.b)
+    last = float(np.linalg.norm(x))
+    for _ in range(10):
+        dx = condensed(reference_residual(system, x))
+        size = float(np.linalg.norm(dx))
+        if not size <= 0.5 * last or size <= np.finfo(float).eps * float(np.linalg.norm(x)):
+            break
+        x = x + dx
+        last = size
+    if reference_backward_error(system, x) <= tol:
+        return x
+    raise AssertionError("reference refinement did not meet the tolerance")
 
 
 REFERENCE_MESHES = {
@@ -604,13 +687,13 @@ def test_assembled_matrix_is_exactly_symmetric(name, k):
 def test_assemble_matches_int64_triplet_reference(name, k, monkeypatch):
     mesh, dm, ops, f, system = reference_case(name, k)
     assert np.any(dm.constrained.flat() != 0.0)
-    want = reference_assemble(mesh, k, f, dm, ops)
+    want_a, want_b = reference_assemble(mesh, k, f, dm, ops)
     # Chunks of a few cells each, as on a mesh far larger than these.
     monkeypatch.setattr(weakop, "CHUNK", 3 * ops[0].matrix.shape[-1] ** 2)
     chunked = assemble(mesh, k, ops[0].j, f, dm, ops=ops)
     for got in (system, chunked):
-        for a, ref in [(got.A.indptr, want.A.indptr), (got.A.indices, want.A.indices),
-                       (got.A.data, want.A.data), (got.b, want.b)]:
+        for a, ref in [(got.A.indptr, want_a.indptr), (got.A.indices, want_a.indices),
+                       (got.A.data, want_a.data), (got.b, want_b)]:
             assert _same_bits(a, ref)
 
 
@@ -661,19 +744,24 @@ def _traced_peak(call):
 
 
 def test_assembly_and_backward_error_memory_is_bounded():
-    # The stiffness goes straight into A's CSR arrays, with no triplets and
-    # no second copy, and every per-cell gather is bounded by CHUNK; |A| is
-    # formed a chunk of rows at a time, so no copy of A sits by the factors.
+    # The skeleton goes straight into its CSR arrays, with no triplets and no
+    # second copy, and every per-cell gather is bounded by CHUNK; the element
+    # residual takes a chunk of cells at a time and gathers no per-cell copy
+    # of a per-shape array, so nothing the size of the system sits by the
+    # factors.
     mesh, k = build_triangular(64), 2
     dm = build_dof_map(mesh, k, g_d=_boundary_u, g_n=_boundary_grad)
     ops = element_operators(mesh, k, k + 2)
     f = builtin_solution(1).source
     system, peak = _traced_peak(lambda: assemble(mesh, k, k + 2, f, dm, ops=ops))
-    A = system.A
-    result = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes + system.b.nbytes
+    S = system.skeleton
+    arrays = [S.data, S.indices, S.indptr, system.skeleton_pos, system.load, system.b]
+    result = sum(a.nbytes for a in arrays + [a for pair in system.factors for a in pair])
     assert peak <= 2 * result, f"assemble: peak {peak / result:.2f} x the result"
-    _, peak = _traced_peak(lambda: backward_error(system, np.ones(A.shape[0])))
+    x = np.ones(dm.n_free)
+    _, peak = _traced_peak(lambda: _backward_error(system, x, _residual(system, x)))
     assert peak <= 0.25 * result, f"backward_error: peak {peak / result:.2f} x the system"
+    assert "A" not in vars(system)
 
 
 def test_error_functionals_memory_is_bounded(monkeypatch):
@@ -718,22 +806,76 @@ def test_solve_matches_csc_copy_reference(name, k, monkeypatch):
     system = reference_case(name, k)[-1]
     x = solve(system)
     assert _same_bits(x, reference_solve(system))
-    assert backward_error(system, x) == reference_backward_error(system, x)
-    # |A| a few rows at a time, as on a mesh far larger than these.
-    monkeypatch.setattr(weakop, "CHUNK", 3 * int(np.diff(system.A.indptr).max()))
-    assert backward_error(system, x) == reference_backward_error(system, x)
+    want = reference_backward_error(system, x)
+    assert _backward_error(system, x, _residual(system, x)) == want
+    # A few cells per chunk, as on a mesh far larger than these.
+    monkeypatch.setattr(weakop, "CHUNK", 3 * system.ops[0].matrix[0].size)
+    assert _same_bits(solve(system), x)
+    assert _backward_error(system, x, _residual(system, x)) == want
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", REFERENCE_MESHES)
+def test_skeleton_is_the_schur_complement_of_A(name, k):
+    # Eliminating every v0 from the full stiffness, densely, gives the
+    # skeleton that ``assemble`` writes from the condensed cells.
+    system = reference_case(name, k)[-1]
+    S, A = system.skeleton, system.A.toarray()
+    edge = np.sort(system.dofmap.pos[system.skeleton_pos >= 0])
+    v0 = np.setdiff1d(np.arange(A.shape[0]), edge)
+    schur = (A[np.ix_(edge, edge)]
+             - A[np.ix_(edge, v0)] @ np.linalg.solve(A[np.ix_(v0, v0)], A[np.ix_(v0, edge)]))
+    assert np.abs(S.toarray() - schur).max() <= 1e-12 * np.abs(schur).max()
+    assert (S != S.T).nnz == 0
+
+
+def test_solves_leave_the_full_stiffness_unbuilt(monkeypatch):
+    systems = []
+    real = sfwg.system.solve
+
+    def keep(system, tol=1e-12):
+        systems.append(system)
+        return real(system, tol=tol)
+
+    monkeypatch.setattr(sfwg.system, "solve", keep)
+    mesh = build_polygonal(4)
+    solve_biharmonic(mesh, 2, 6, builtin_solution(1).source, ops=element_operators(mesh, 2, 6))
+    sfwg.run_study(sfwg.StudyConfig(k=2, levels=[2, 4]))
+    assert len(systems) == 3
+    assert all("A" not in vars(system) for system in systems)
+
+
+def test_v0_block_not_positive_definite_raises():
+    # With the v0 columns of one shape zeroed, K_00 of its cells is zero.
+    mesh = build_triangular(2)
+    ops = element_operators(mesh, 2, 4)
+    matrix = ops[0].matrix.copy()
+    matrix[0, :, :dim_pk(2)] = 0.0
+    bad = [dataclasses.replace(ops[0], matrix=matrix)] + ops[1:]
+    with pytest.raises(SolverError, match="^v0 block of cell 0 is not positive definite$"):
+        solve_biharmonic(mesh, 2, 4, lambda p: np.ones(len(p)), ops=bad)
 
 
 @pytest.mark.parametrize("name,k", [("tri8", 2), ("honeycomb8", 3)])
 def test_solve_is_scale_equivariant(name, k):
-    # With diagonal pivots, eliminating D A D computes A's factors scaled by
-    # D, exactly when D holds powers of two; so a scaling changes no digit
-    # of the solution, and ``solve`` applies none.
-    system = reference_case(name, k)[-1]
-    A = system.A
-    d = np.ldexp(1.0, np.random.default_rng(14).integers(-8, 9, size=A.shape[0]))
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    dad = sp.csr_matrix((A.data * d[rows] * d[A.indices], A.indices.copy(), A.indptr.copy()),
-                        shape=A.shape)
-    x = solve(LinearSystem(A=dad, b=d * system.b)) * d
-    assert _same_bits(x, solve(system))
+    # Scaling every v0 DOF by one power of two and the v_b and v_n DOFs by
+    # one each per slot scales B's columns, the load and the constrained
+    # values exactly.  With diagonal pivots, eliminating D S D computes the
+    # skeleton's factors scaled by D, and the element residual scales with
+    # the load, so the scaling changes no digit of the solution, and
+    # ``solve`` applies none.
+    mesh, dm, ops, f, system = reference_case(name, k)
+    rng = np.random.default_rng(14)
+    d0 = float(np.ldexp(1.0, rng.integers(-8, 9)))
+    de = np.ldexp(1.0, rng.integers(-8, 9, size=2 * k))
+    d = WeakFunction(k, np.full((mesh.n_cells, dim_pk(k)), d0),
+                     np.tile(de[:k], (mesh.n_edges, 1)), np.tile(de[k:], (mesh.n_edges, 1)))
+    scaled_ops = [dataclasses.replace(op, matrix=op.matrix * d.local(op.stack, slice(0, 1)))
+                  for op in ops]
+    constrained = WeakFunction.from_flat(k, mesh.n_cells, dm.constrained.flat() / d.flat())
+    scaled = assemble(mesh, k, ops[0].j, lambda p: d0 * f(p),
+                      DofMap(pos=dm.pos, constrained=constrained), ops=scaled_ops)
+    free = dm.pos >= 0
+    scale = np.empty(dm.n_free)
+    scale[dm.pos[free]] = d.flat()[free]
+    assert _same_bits(solve(scaled) * scale, solve(system))
