@@ -26,8 +26,8 @@ Solve: the skeleton factored as assembled, diagonal pivots, narrow SuperLU
 panels, v0 recovered per cell, then refinement against the element residual
 load - sum_T B^T (B z_T), which carries no rounding of the assembled
 entries.  On the studies' levels the first correction moves x by 1e-13 to
-1e-8 of its size, the second by about 1e-14 and the third no less, which
-stops it.  Diagonal pivots make a diagonal scaling inert, so none is applied.
+3e-8 of its size, and one or two corrections are made.  Diagonal pivots
+make a diagonal scaling inert, so none is applied.
 """
 
 from dataclasses import dataclass
@@ -440,8 +440,14 @@ def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
     and a residual b - A x formed from the assembled A has a floor that
     grows like h^-2 relative to the element residual's.  Refinement stops
     when a correction no longer halves the one before (the first is the
-    solve itself) or falls to roundoff of x, after at most ten steps; on
-    the studies' levels the second correction stops it.  ``SolverError`` is
+    solve itself) or falls to roundoff of x, or when the next one would:
+    refinement contracts by about the ratio of a correction to the one
+    before, so after a correction dx the next is about |dx|^2 / |dx_prev|.
+    At most ten steps.  On the studies' levels the first correction moves
+    x by 1e-13 to 1e-8 of its size, which predicts roundoff and stops it;
+    where it moves x by about 3e-8 (tri n=64, k=3), a second of about 2e-14
+    follows.  The prediction saves the correction that would only be
+    computed to be rejected.  ``SolverError`` is
     raised if the factorization fails or the backward error (``_backward_error``)
     then misses ``tol`` (a NaN included).
     """
@@ -461,14 +467,19 @@ def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
     x = _condensed_solve(system, lu, system.b)
     last = float(np.linalg.norm(x))
     r = _residual(system, x)
+    eps = np.finfo(float).eps
     for _ in range(10):
         dx = _condensed_solve(system, lu, r)
         size = float(np.linalg.norm(dx))
-        if not size <= 0.5 * last or size <= np.finfo(float).eps * float(np.linalg.norm(x)):
+        if not size <= 0.5 * last or size <= eps * float(np.linalg.norm(x)):
             break
         x += dx
-        last = size
         r = _residual(system, x)
+        # Refinement contracts by about size / last a step, so the next
+        # correction would be about size^2 / last: stop if that is roundoff.
+        if size * (size / last) <= eps * float(np.linalg.norm(x)):
+            break
+        last = size
     err = _backward_error(system, x, r)
     if err <= tol:
         return x

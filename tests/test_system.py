@@ -594,7 +594,8 @@ def reference_solve(system, tol=1e-12):
     """The condensed solve, from a CSC copy of the skeleton and each
     shape's own QR of its v0 columns, gathered per cell, refined against the reference
     residual until a correction no longer halves the one before or falls to
-    roundoff of x."""
+    roundoff of x, or the next one would (its size squared over the one
+    before's)."""
     mesh, dm = system.mesh, system.dofmap
     k = dm.constrained.k
     dk = dim_pk(k)
@@ -627,12 +628,15 @@ def reference_solve(system, tol=1e-12):
 
     x = condensed(system.b)
     last = float(np.linalg.norm(x))
+    eps = np.finfo(float).eps
     for _ in range(10):
         dx = condensed(reference_residual(system, x))
         size = float(np.linalg.norm(dx))
-        if not size <= 0.5 * last or size <= np.finfo(float).eps * float(np.linalg.norm(x)):
+        if not size <= 0.5 * last or size <= eps * float(np.linalg.norm(x)):
             break
         x = x + dx
+        if size * (size / last) <= eps * float(np.linalg.norm(x)):
+            break
         last = size
     if reference_backward_error(system, x) <= tol:
         return x
