@@ -135,9 +135,14 @@ def orthonormal_factor(weighted):
     table is numerically rank deficient.
     """
     r = np.linalg.qr(weighted, mode="r")
+    return r, full_rank(r)
+
+
+def full_rank(r):
+    """Where the triangular factors ``r`` (..., dim, dim) are numerically of
+    full rank: every entry finite and min |R_ii| > 1e-13 max |R_ii|."""
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    ok = np.isfinite(r).all(axis=(-2, -1)) & (diag.min(axis=-1) > 1e-13 * diag.max(axis=-1))
-    return r, ok
+    return np.isfinite(r).all(axis=(-2, -1)) & (diag.min(axis=-1) > 1e-13 * diag.max(axis=-1))
 
 
 def edge_values(degree, p0, p1, s):

@@ -1,26 +1,25 @@
 """Global DOF numbering, SPD assembly, and the sparse solve.
 
-Numbering: the free DOFs are numbered in a nested-dissection order of the
-cells (George 1973; Lipton, Rose and Tarjan 1979; ``_dissection_ranks``),
-so ``assemble`` builds the skeleton in a fill-reducing order and ``solve``
-factors it as given.  v0 couples only to its own cell's edges, so the edges cut
-between two groups of cells separate them exactly; each cut edge comes
-after both groups, and each cell's v0 before its edges.  The ranks are
-spread over the DOFs of the flat layout by ``WeakFunction.flat_of`` and
-numbered by one stable sort; ``assemble`` lays out its row lengths the
-same way.  Constrained DOFs are left out: the v_b/v_n DOFs of boundary
-edges.  These are zero for the clamped problem, or the edge projections
-of supplied boundary data (given relative to the fixed edge normal n_e),
-and their stiffness columns are moved to the right-hand side.  The load
-is read from the operators (``op.moments``).  Free positions are int32,
-the index type of the sparse matrices, so they are A's column indices as
-they stand.
+Numbering: the free v_b/v_n DOFs, the skeleton, come first, in a
+nested-dissection order of the cells (George 1973; Lipton, Rose and Tarjan
+1979; ``_dissection_ranks``), so ``assemble`` builds the skeleton in a
+fill-reducing order and ``solve`` factors it as given: the edges cut
+between two groups of cells separate them exactly, and each cut edge comes
+after both groups.  Every cell's v0 block follows, cell by cell.  The ranks
+are spread over the DOFs of the flat layout by ``WeakFunction.flat_of`` and
+numbered by one stable sort.  Constrained DOFs are left out: the v_b/v_n
+DOFs of boundary edges.  These are zero for the clamped problem, or the
+edge projections of supplied boundary data (given relative to the fixed
+edge normal n_e), and their stiffness columns are moved to the right-hand
+side.  The load is read from the operators (``op.moments``).  Free
+positions are int32, the index type of the sparse matrices, so they are
+A's column indices as they stand.
 
 Condensation: v0 couples only to its own cell's edges and is never
 constrained, so ``assemble`` eliminates it cell by cell (static
-condensation) and writes only the skeleton matrix over the free v_b/v_n
-DOFs, in the same order with v0 left out.  The full reduced stiffness A is
-built only when ``LinearSystem.A`` is read.
+condensation) and writes only the skeleton matrix, over the leading free
+DOFs.  The full reduced stiffness A is built only when ``LinearSystem.A``
+is read.
 
 Solve: the skeleton factored as assembled, diagonal pivots, narrow SuperLU
 panels, v0 recovered per cell, then refinement against the element residual
@@ -37,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .basis import dim_pk
+from .basis import dim_pk, full_rank
 from .mesh import Mesh
 from .weakop import WeakFunction, _cell_chunks, project_edge_data
 
@@ -57,10 +56,10 @@ class SolverError(RuntimeError):
 class DofMap:
     """Where each DOF of ``WeakFunction.flat`` sits among the free DOFs.
 
-    ``pos`` (int32) is the DOF's position in the free vector, in the
-    nested-dissection order of ``build_dof_map``, or -1 where it is
-    constrained; ``constrained`` holds the values of the constrained DOFs
-    and zero at the free ones.
+    ``pos`` (int32) is the DOF's position in the free vector, in the order
+    of ``build_dof_map`` (the skeleton in nested-dissection order, then
+    each cell's v0), or -1 where it is constrained; ``constrained`` holds
+    the values of the constrained DOFs and zero at the free ones.
     """
 
     pos: np.ndarray
@@ -84,8 +83,10 @@ def build_dof_map(mesh, k, g_d=None, g_n=None) -> DofMap:
     boundary = np.flatnonzero(mesh.edge_boundary)
     constrained.vb[boundary], constrained.vn[boundary] = project_edge_data(
         mesh, boundary, k, g_d, g_n)
-    # A stable sort by rank keeps a leaf's v0 before its uncut edges.
-    rank = WeakFunction.flat_of(k, *_dissection_ranks(mesh))
+    # Every v0 ranks above every edge, so a stable sort puts the v0 blocks
+    # last, in cell order.
+    edge_rank = _dissection_ranks(mesh)
+    rank = WeakFunction.flat_of(k, np.full(mesh.n_cells, edge_rank.max() + 1), edge_rank)
     free = np.flatnonzero(WeakFunction.flat_of(k, np.ones(mesh.n_cells, dtype=bool),
                                                ~mesh.edge_boundary))
     pos = np.full(len(rank), -1, dtype=np.int32)
@@ -94,7 +95,7 @@ def build_dof_map(mesh, k, g_d=None, g_n=None) -> DofMap:
 
 
 def _dissection_ranks(mesh):
-    """Nested-dissection ranks of the cells and the edges.
+    """Nested-dissection ranks of the edges.
 
     Each group of more than two cells is split in two.  Its cells are
     sorted by centroid along x and along y (equal coordinates by cell
@@ -175,31 +176,28 @@ def _dissection_ranks(mesh):
     cell_rank[order[:n]] = node[run_id[:n]]
     uncut = edge_rank < 0
     edge_rank[uncut] = cell_rank[mesh.edge_cells[uncut, 0]]
-    return cell_rank, edge_rank
+    return edge_rank
 
 
 @dataclass
 class LinearSystem:
     """The reduced system over the free DOFs, condensed onto the skeleton.
 
-    ``skeleton`` is the matrix of the free v_b/v_n DOFs once every cell's v0
-    is eliminated, in their order among the free DOFs (``skeleton_pos``
-    numbers them over the flat layout, -1 elsewhere); it is exactly
+    ``skeleton`` is the matrix of the free v_b/v_n DOFs, the leading m of
+    the free DOFs, once every cell's v0 is eliminated; it is exactly
     symmetric, as ``assemble`` builds it, and ``solve`` relies on that.
     ``factors`` holds, per operator and per shape, R^-1 and W = K_00^-1 K_0e,
     where K_00 = R^T R.  ``load`` is (f, v0) on the free DOFs, ``b`` the same
     less the constrained columns, and ``anorm`` bounds ||A||_1 by the row
-    sums of every cell's |K| over its free columns.  ``positions``,
-    ``numbers`` and ``skeleton_dofs``, the layouts that the solve reads on
-    each pass, are built once, and ``A``, the full reduced stiffness, only
-    when it is read.
+    sums of every cell's |K| over its free columns.  ``positions``, the
+    layout that the solve reads on each pass, is built once, and ``A``, the
+    full reduced stiffness, only when it is read.
     """
 
     mesh: Mesh
     dofmap: DofMap
     ops: list
     skeleton: sp.csr_matrix
-    skeleton_pos: np.ndarray
     factors: tuple
     load: np.ndarray
     b: np.ndarray
@@ -212,19 +210,6 @@ class LinearSystem:
         return WeakFunction.from_flat(self.dofmap.constrained.k, self.mesh.n_cells, self.dofmap.pos)
 
     @cached_property
-    def numbers(self) -> WeakFunction:
-        """``skeleton_pos`` laid out as a weak function."""
-        return WeakFunction.from_flat(self.dofmap.constrained.k, self.mesh.n_cells, self.skeleton_pos)
-
-    @cached_property
-    def skeleton_dofs(self) -> np.ndarray:
-        """The free positions of the skeleton's rows, in their order."""
-        on = self.skeleton_pos >= 0
-        dofs = np.empty(self.skeleton.shape[0], dtype=np.int32)
-        dofs[self.skeleton_pos[on]] = self.dofmap.pos[on]
-        return dofs
-
-    @cached_property
     def A(self) -> sp.csr_matrix:
         """The stiffness (Lw., Lw.) over the free DOFs, exactly symmetric."""
         blocks = [op.matrix.swapaxes(-1, -2) @ op.matrix for op in self.ops]
@@ -233,7 +218,7 @@ class LinearSystem:
 
 def _write_csr(mesh, k, pos, ops, blocks):
     """The matrix that sums, over the cells, the per-shape ``blocks`` of each
-    operator over the DOFs that ``pos`` numbers (the flat layout, -1 where a
+    operator over the DOFs that ``pos`` places (the flat layout, -1 where a
     DOF is left out).  A block covers the trailing local DOFs of a cell: all
     of them, or its edge DOFs alone.
 
@@ -284,8 +269,7 @@ def _condense(op, dk):
     """
     b0, be = op.matrix[..., :dk], op.matrix[..., dk:]
     q, r = np.linalg.qr(b0)
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    ok = np.isfinite(r).all(axis=(-2, -1)) & (diag.min(axis=-1) > 1e-13 * diag.max(axis=-1))
+    ok = full_rank(r)
     if not ok.all():
         cell = op.stack.shapes[0].cells[~ok].min()
         raise SolverError(f"v0 block of cell {cell} is not positive definite")
@@ -305,22 +289,15 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
     ``j`` is not read.  Each shape's local stiffness is condensed onto its
     edge DOFs once (``_condense``), and the blocks are gathered per cell, a
     chunk at a time, straight into the skeleton's CSR arrays
-    (``_write_csr``).  The constrained columns of K, which only cells with a
+    (``_write_csr``), over the first m = n_free - n_cells dim P_k free
+    DOFs.  The constrained columns of K, which only cells with a
     constrained DOF have, move to ``b``.
     """
     n, dk = dofmap.n_free, dim_pk(k)
     positions = WeakFunction.from_flat(k, mesh.n_cells, dofmap.pos)
-    # The skeleton DOFs are the free ones off v0, numbered in their free order.
-    on_skeleton = dofmap.pos >= 0
-    on_skeleton &= WeakFunction.flat_of(k, np.zeros(mesh.n_cells, dtype=bool),
-                                        np.ones(mesh.n_edges, dtype=bool))
-    rank = np.zeros(n, dtype=np.int32)
-    rank[dofmap.pos[on_skeleton]] = 1
-    skeleton_pos = np.full(len(dofmap.pos), -1, dtype=np.int32)
-    skeleton_pos[on_skeleton] = (np.cumsum(rank, dtype=np.int32) - 1)[dofmap.pos[on_skeleton]]
-
     factors, blocks = zip(*[_condense(op, dk) for op in ops])
-    skeleton = _write_csr(mesh, k, skeleton_pos, ops, blocks)
+    m = n - mesh.n_cells * dk
+    skeleton = _write_csr(mesh, k, np.where(dofmap.pos < m, dofmap.pos, -1), ops, blocks)
     load, b, rowsum = np.zeros(n), np.zeros(n), np.zeros(n)
     for op in ops:
         stack = op.stack
@@ -344,8 +321,7 @@ def assemble(mesh, k, j, f, dofmap: DofMap, ops) -> LinearSystem:
         b += np.bincount(idx[free], weights=rhs[free], minlength=n)
         rowsum += np.bincount(idx[free], weights=absrow[free], minlength=n)
     return LinearSystem(mesh=mesh, dofmap=dofmap, ops=ops, skeleton=skeleton,
-                        skeleton_pos=skeleton_pos, factors=factors, load=load, b=b,
-                        anorm=float(rowsum.max(initial=0.0)))
+                        factors=factors, load=load, b=b, anorm=float(rowsum.max(initial=0.0)))
 
 
 def _per_shape(mats, rows, v):
@@ -355,7 +331,7 @@ def _per_shape(mats, rows, v):
     else one broadcast product per shape, so that no copy of ``mats`` is
     gathered per cell.  Either way each cell's product is its own, so the
     chunks do not change its bits.  A gathered ``mats[rows]``, up to CHUNK
-    numbers, would sit beside the factors on every pass: on tri n=32, k=2
+    entries, would sit beside the factors on every pass: on tri n=32, k=2
     it took the solve's growth from 0.87 to 1.10-1.17 x the factors."""
     if isinstance(rows, slice):
         return (mats[rows] @ v[..., None])[..., 0]
@@ -388,24 +364,23 @@ def _residual(system: LinearSystem, x) -> np.ndarray:
 
 def _condensed_solve(system: LinearSystem, lu, r) -> np.ndarray:
     """A^-1 r through the condensed factors: the skeleton solve of
-    r_e - sum_T W^T r_0, then per cell v0 = K_00^-1 r_0 - W x_e, with x_e
-    zero at the constrained DOFs."""
-    numbers, on_skeleton, v0 = system.numbers, system.skeleton_dofs, system.positions.v0
-    dk = v0.shape[1]
-    wr = np.zeros(len(on_skeleton))
+    r_e - sum_T W^T r_0 over the leading m free DOFs, then per cell
+    v0 = K_00^-1 r_0 - W x_e, with x_e zero at the constrained DOFs."""
+    positions, m = system.positions, system.skeleton.shape[0]
+    dk = positions.v0.shape[1]
+    wr = np.zeros(m)
     for op, (_, w) in zip(system.ops, system.factors):
         for _, c, rows in _cell_chunks(op.stack, w[0].size):
-            at = numbers.local(op.stack, c)[:, dk:]
-            t = _per_shape(w.swapaxes(-1, -2), rows, r[v0[op.stack.cells[c]]])
-            wr += np.bincount(at[at >= 0], weights=t[at >= 0], minlength=len(wr))
-    xs = lu.solve(r[on_skeleton] - wr)
+            at = positions.local(op.stack, c)[:, dk:]
+            t = _per_shape(w.swapaxes(-1, -2), rows, r[positions.v0[op.stack.cells[c]]])
+            wr += np.bincount(at[at >= 0], weights=t[at >= 0], minlength=m)
     x = np.empty(len(r))
-    x[on_skeleton] = xs
+    x[:m] = lu.solve(r[:m] - wr)
     for op, (rinv, w) in zip(system.ops, system.factors):
         for _, c, rows in _cell_chunks(op.stack, w[0].size):
-            at, cell = numbers.local(op.stack, c)[:, dk:], v0[op.stack.cells[c]]
+            at, cell = positions.local(op.stack, c)[:, dk:], positions.v0[op.stack.cells[c]]
             xe = np.zeros(at.shape)
-            xe[at >= 0] = xs[at[at >= 0]]
+            xe[at >= 0] = x[at[at >= 0]]
             y = _per_shape(rinv.swapaxes(-1, -2), rows, r[cell])
             x[cell] = _per_shape(rinv, rows, y) - _per_shape(w, rows, xe)
     return x
@@ -429,10 +404,9 @@ def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
     skeleton's own arrays as CSC arrays, so it must be exactly symmetric,
     as ``assemble`` builds it; any other is factored as its transpose, which
     only the refinement catches.  The factorization keeps the given order,
-    the nested dissection of ``build_dof_map`` with the v0 DOFs left out,
-    and uses panels of ``PANEL_SIZE`` columns, so the panel workspace that
-    lives beside the factors until ``splu`` returns stays a small part of
-    the solve's peak.
+    the leading block of ``build_dof_map``'s numbering, and uses panels of
+    ``PANEL_SIZE`` columns, so the panel workspace that lives beside the
+    factors until ``splu`` returns stays a small part of the solve's peak.
 
     The solution is then refined against the element residual
     (``_residual``), each correction through the condensed factors.  The
@@ -447,9 +421,10 @@ def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
     x by 1e-13 to 1e-8 of its size, which predicts roundoff and stops it;
     where it moves x by about 3e-8 (tri n=64, k=3), a second of about 2e-14
     follows.  The prediction saves the correction that would only be
-    computed to be rejected.  ``SolverError`` is
-    raised if the factorization fails or the backward error (``_backward_error``)
-    then misses ``tol`` (a NaN included).
+    computed to be rejected.  ``SolverError`` is raised if the
+    factorization fails, if the first correction does not halve x (the
+    factored matrix is numerically singular), or if the backward error (``_backward_error``) then misses
+    ``tol`` (a NaN included).
     """
     if float(np.linalg.norm(system.b)) == 0.0:
         return np.zeros(len(system.b))
@@ -468,9 +443,12 @@ def solve(system: LinearSystem, tol: float = 1e-12) -> np.ndarray:
     last = float(np.linalg.norm(x))
     r = _residual(system, x)
     eps = np.finfo(float).eps
-    for _ in range(10):
+    for step in range(10):
         dx = _condensed_solve(system, lu, r)
         size = float(np.linalg.norm(dx))
+        if step == 0 and size > 0.5 * last:
+            raise SolverError("refinement does not converge: the factored matrix is "
+                              "numerically singular")
         if not size <= 0.5 * last or size <= eps * float(np.linalg.norm(x)):
             break
         x += dx

@@ -82,7 +82,7 @@ def on_cells(f, stack: CellStack, rule, cells):
     return at_points(f, stack.polygons[cells, :1] - ref.polygons[rows, :1] + rule.points[rows])
 
 
-CHUNK = 1 << 18  # the most numbers in one gathered chunk of per-cell or per-row data
+CHUNK = 1 << 18  # the most entries in one gathered chunk of per-cell or per-row data
 
 
 def _chunks(n, size):

@@ -296,6 +296,21 @@ def test_nan_source_exits_3(monkeypatch, capsys):
     assert "backward error nan" in capsys.readouterr().err
 
 
+def test_refinement_that_does_not_converge_exits_3(capsys):
+    # At k=6, j=8 the triangles' weak Laplacian keeps spurious kernel modes,
+    # and on tri n=8 they make the skeleton numerically singular: the first
+    # correction is as large as x.  Through the API and the CLI alike the
+    # solve fails, where it used to return x with err_2h 137.9.
+    mesh = sfwg.build_triangular(8)
+    system = assemble(mesh, 6, 8, builtin_solution(1).source, build_dof_map(mesh, 6),
+                      ops=element_operators(mesh, 6, 8))
+    with pytest.raises(SolverError, match="^refinement does not converge: "):
+        solve(system)
+    code, _, err = run_cli(capsys, "solve", "--mesh", "tri", "--n", "8", "--k", "6", "--j", "8")
+    assert code == 3
+    assert "refinement does not converge" in err
+
+
 def test_solver_failure_exit_3(monkeypatch, capsys):
     def boom(system, tol=1e-12):
         raise SolverError("injected failure")

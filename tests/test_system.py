@@ -64,7 +64,8 @@ def test_cell_dofs_marks_boundary_constrained():
     dm = build_dof_map(mesh, 2)
     loc = local_dofs(mesh, mesh.stacks[0], 2)[0]  # cell 0 is row 0
     idx, vals = dm.pos[loc], dm.constrained.flat()[loc]
-    assert (idx[:6] == np.arange(6)).all()
+    # The two cells' v0 blocks trail the free DOFs, cell 0's first.
+    assert (idx[:6] == dm.n_free - 12 + np.arange(6)).all()
     # exactly one of the three edges is interior
     n_constrained = int((idx < 0).sum())
     assert n_constrained == 2 * 2 * 2
@@ -74,7 +75,8 @@ def test_cell_dofs_marks_boundary_constrained():
 def _tree_pos(mesh, k, split):
     """The free-DOF positions of a bisection tree: ``split(cells, depth)``
     returns a group's two halves, or None for a leaf.  Built by recursion
-    over the groups and an explicit post-order count."""
+    over the groups and an explicit post-order count; every v0 takes the
+    last rank, so the v0 blocks trail in cell order."""
     leaf_path, post, count = {}, {}, itertools.count()
 
     def visit(cells, path):
@@ -94,10 +96,9 @@ def _tree_pos(mesh, k, split):
             i += 1
         return p[:i]
 
-    cell_rank = [post[leaf_path[c]] for c in range(mesh.n_cells)]
     edge_rank = [post[lca(leaf_path[a], leaf_path[b if b >= 0 else a])]
                  for a, b in mesh.edge_cells.tolist()]
-    rank = np.concatenate([np.repeat(cell_rank, dim_pk(k)),
+    rank = np.concatenate([np.full(mesh.n_cells * dim_pk(k), len(post)),
                            np.tile(np.repeat(edge_rank, k), 2)])
     free = np.concatenate([np.ones(mesh.n_cells * dim_pk(k), dtype=bool),
                            np.tile(np.repeat(~mesh.edge_boundary, k), 2)])
@@ -165,11 +166,11 @@ def test_triangles_keep_the_median_numbering(n, k):
 
 
 def _natural_fill(mesh, k, pos):
-    """L.nnz + U.nnz of the stiffness numbered by ``pos``, factored as ``solve`` does."""
+    """L.nnz + U.nnz of the skeleton numbered by ``pos``, factored as ``solve`` does."""
     dm = build_dof_map(mesh, k)
     dm = DofMap(pos=pos.astype(np.int32), constrained=dm.constrained)
-    A = assemble(mesh, k, k + 4, zero_f, dm, ops=element_operators(mesh, k, k + 4)).A
-    lu = spla.splu(sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
+    S = assemble(mesh, k, k + 4, zero_f, dm, ops=element_operators(mesh, k, k + 4)).skeleton
+    lu = spla.splu(sp.csc_matrix((S.data, S.indices, S.indptr), shape=S.shape),
                    permc_spec="NATURAL", diag_pivot_thresh=0.0,
                    panel_size=PANEL_SIZE, options=dict(SymmetricMode=True))
     return lu.L.nnz + lu.U.nnz
@@ -203,23 +204,19 @@ def test_free_dofs_numbered_once_in_dissection_order(make_mesh, k):
     back[dm.pos[free]] = weak_function_from_free(dm, x).flat()[free]
     assert np.array_equal(back, x)
 
-    # Each cell's v0 comes before the free DOFs of its edges, so that
-    # eliminating v0 fills in nothing outside its own cell.
-    for stack in mesh.stacks:
-        loc = dm.pos[local_dofs(mesh, stack, k)]
-        last_v0 = loc[:, :dim_pk(k)].max(axis=1)
-        edge = loc[:, dim_pk(k):]
-        assert (np.where(edge >= 0, edge, np.inf) > last_v0[:, None]).all()
+    # The skeleton leads, and the v0 blocks trail in cell order.
+    n0 = mesh.n_cells * dim_pk(k)
+    assert np.array_equal(dm.pos[:n0], dm.n_free - n0 + np.arange(n0))
 
 
 def test_numbering_cuts_fill():
-    # Factored as numbered, the stiffness fills less than under a
+    # Factored as numbered, the skeleton fills less than under a
     # minimum-degree order of the same matrix, on triangles and on the
     # honeycomb.
     for mesh, k, j in [(build_triangular(32), 2, 4), (build_polygonal(32), 2, 6)]:
         dm = build_dof_map(mesh, k)
         system = assemble(mesh, k, j, zero_f, dm, ops=element_operators(mesh, k, j))
-        a = system.A.tocsc()
+        a = system.skeleton.tocsc()
         fill = {}
         for spec in ("NATURAL", "MMD_AT_PLUS_A"):
             lu = spla.splu(a, permc_spec=spec, diag_pivot_thresh=0.0,
@@ -602,24 +599,23 @@ def reference_solve(system, tol=1e-12):
     lu = spla.splu(system.skeleton.tocsc(copy=True), permc_spec="NATURAL",
                    diag_pivot_thresh=0.0, panel_size=PANEL_SIZE,
                    options=dict(SymmetricMode=True))
-    spos = system.skeleton_pos
-    skeleton = np.sort(dm.pos[spos >= 0])
+    m = dm.n_free - mesh.n_cells * dk                 # the skeleton leads
     parts = []
     for op in system.ops:
         q, rr = np.linalg.qr(op.matrix[..., :dk])
         rinv = np.linalg.inv(rr)
         w = rinv @ (q.swapaxes(-1, -2) @ op.matrix[..., dk:])
         loc, of = local_dofs(mesh, op.stack, k), op.stack.shapes[1]
-        parts.append((rinv[of], w[of], dm.pos[loc[:, :dk]], spos[loc[:, dk:]]))
+        parts.append((rinv[of], w[of], dm.pos[loc[:, :dk]], dm.pos[loc[:, dk:]]))
 
     def condensed(r):
-        wr = np.zeros(len(skeleton))
+        wr = np.zeros(m)
         for rinv, w, v0, at in parts:
             t = (w.swapaxes(-1, -2) @ r[v0][..., None])[..., 0]
             np.add.at(wr, at[at >= 0], t[at >= 0])
-        xs = lu.solve(r[skeleton] - wr)
+        xs = lu.solve(r[:m] - wr)
         x = np.empty(len(r))
-        x[skeleton] = xs
+        x[:m] = xs
         for rinv, w, v0, at in parts:
             xe = np.where(at >= 0, xs[np.maximum(at, 0)], 0.0)
             y = rinv.swapaxes(-1, -2) @ r[v0][..., None]
@@ -746,7 +742,7 @@ def test_assembly_and_backward_error_memory_is_bounded():
     f = builtin_solution(1).source
     system, peak = _traced_peak(lambda: assemble(mesh, k, k + 2, f, dm, ops=ops))
     S = system.skeleton
-    arrays = [S.data, S.indices, S.indptr, system.skeleton_pos, system.load, system.b]
+    arrays = [S.data, S.indices, S.indptr, system.load, system.b]
     result = sum(a.nbytes for a in arrays + [a for pair in system.factors for a in pair])
     assert peak <= 2 * result, f"assemble: peak {peak / result:.2f} x the result"
     x = np.ones(dm.n_free)
@@ -812,8 +808,8 @@ def test_skeleton_is_the_schur_complement_of_A(name, k):
     # skeleton that ``assemble`` writes from the condensed cells.
     system = reference_case(name, k)[-1]
     S, A = system.skeleton, system.A.toarray()
-    edge = np.sort(system.dofmap.pos[system.skeleton_pos >= 0])
-    v0 = np.setdiff1d(np.arange(A.shape[0]), edge)
+    m = system.dofmap.n_free - system.mesh.n_cells * dim_pk(k)   # the skeleton leads
+    edge, v0 = np.arange(m), np.arange(m, A.shape[0])
     schur = (A[np.ix_(edge, edge)]
              - A[np.ix_(edge, v0)] @ np.linalg.solve(A[np.ix_(v0, v0)], A[np.ix_(v0, edge)]))
     assert np.abs(S.toarray() - schur).max() <= 1e-12 * np.abs(schur).max()
